@@ -25,9 +25,9 @@ using namespace eve;
 
 namespace {
 
-// The --policy / EVE_POLICY preset (bench_util/policy_flag.h); null when
-// unset, in which case the driver behaves exactly as before.
-const EvolutionPolicy* g_policy = nullptr;
+// The --policy / EVE_POLICY preset (bench_util/policy_flag.h); the default
+// options when unset, in which case the driver behaves exactly as before.
+EveOptions g_options;
 
 Relation MakeRelation(const std::string& name,
                       const std::vector<std::string>& attrs, int64_t rows) {
@@ -52,8 +52,7 @@ struct BranchResult {
 
 BranchResult RunBranch(double w1, double w2) {
   BranchResult result;
-  EveSystem eve;
-  if (g_policy != nullptr) (void)g_policy->ApplyTo(eve);
+  EveSystem eve(g_options);
   eve.options().qc.w1 = w1;
   eve.options().qc.w2 = w2;
   eve.options().materialize = false;
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
     return 2;
   }
-  if (preset->has_value()) g_policy = &preset->value();
+  if (preset->has_value()) g_options = (*preset)->options;
 
   std::printf("%s", Banner("Experiment 1 / Figure 12: survival of a view").c_str());
   std::printf(

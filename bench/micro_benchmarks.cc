@@ -41,7 +41,7 @@
 #include "maintenance/maintainer.h"
 #include "misd/mkb.h"
 #include "plan/plan_cache.h"
-#include "policy/evolution_policy.h"
+#include "policy/presets.h"
 #include "qc/ranking.h"
 #include "space/information_space.h"
 #include "storage/column_kernel.h"
@@ -497,12 +497,11 @@ BENCHMARK(BM_SynchronizeDeleteFanout);
 
 void BM_SynchronizeDeleteFanout_Eager(benchmark::State& state) {
   DeleteFanoutFixture fixture;
-  SynchronizerOptions options;
-  options.use_delta_enumeration = false;
-  ViewSynchronizer synchronizer(fixture.mkb, options);
+  const SynchronizerOptions options;
   int64_t rewritings = 0;
   for (auto _ : state) {
-    auto result = synchronizer.Synchronize(fixture.view, fixture.change);
+    auto result = internal::SynchronizeEager(fixture.mkb, options,
+                                             fixture.view, fixture.change);
     rewritings += result.ok() ? static_cast<int64_t>(result->rewritings.size())
                               : 0;
     benchmark::DoNotOptimize(result);
@@ -876,7 +875,7 @@ BENCHMARK(BM_EvolutionStream_Fanout)->Arg(1024);
 // synchronizer enumerates).
 void BM_EvolutionStream_Policy(benchmark::State& state) {
   RunEvolutionStream(state, /*selective=*/true,
-                     EvolutionPolicy::Balanced().ToEveOptions(),
+                     BalancedPreset(),
                      /*partial_mirrors=*/8);
 }
 BENCHMARK(BM_EvolutionStream_Policy)->Arg(1024);

@@ -1,7 +1,7 @@
 // Policy-curve ablation driver: replays the same seeded evolution stream
-// (bench_util/scenario.h) under each EvolutionPolicy preset and reports
-// quality lost vs enumeration work saved -- the acceptance curve of the
-// selective rewriting policy.
+// (bench_util/scenario.h) under each policy preset (policy/presets.h) and
+// reports quality lost vs enumeration work saved -- the acceptance curve of
+// the selective rewriting policy.
 //
 // For every topology (star and, unless --star-only, snowflake) and every
 // preset (exhaustive / balanced / latency_bound) the driver replays the
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "bench_util/scenario.h"
-#include "policy/evolution_policy.h"
+#include "policy/presets.h"
 
 using namespace eve;
 
@@ -121,25 +121,21 @@ int main(int argc, char** argv) {
 
   std::vector<bool> topologies = {false};
   if (!FlagSet(argc, argv, "star-only")) topologies.push_back(true);
-  const EvolutionPolicy presets[] = {EvolutionPolicy::Exhaustive(),
-                                     EvolutionPolicy::Balanced(),
-                                     EvolutionPolicy::LatencyBound()};
+  const char* const presets[] = {"exhaustive", "balanced", "latency_bound"};
 
   std::vector<CurvePoint> points;
   for (const bool snowflake : topologies) {
-    for (const EvolutionPolicy& preset : presets) {
+    for (const char* preset : presets) {
       ScenarioOptions topo = scenario;
       topo.snowflake = snowflake;
-      EveOptions eve_options = preset.ToEveOptions();
+      EveOptions eve_options = PolicyPresetByName(preset).value();
       eve_options.materialize = false;
       auto system = BuildScenarioSystem(topo, eve_options);
       if (!system.ok()) {
-        std::fprintf(stderr, "build failed (%s): %s\n", preset.name.c_str(),
+        std::fprintf(stderr, "build failed (%s): %s\n", preset,
                      system.status().ToString().c_str());
         return 1;
       }
-      (*system)->mkb().set_selective_invalidation(
-          preset.selective_invalidation);
 
       const std::vector<ScenarioEvent> stream =
           GenerateEventStream(topo, events, topo.seed + 1);
@@ -148,13 +144,13 @@ int main(int argc, char** argv) {
       replay.track_replaceability = false;  // Isolate the enumeration work.
       const auto result = ReplayScenario(**system, stream, replay);
       if (!result.ok()) {
-        std::fprintf(stderr, "replay failed (%s): %s\n", preset.name.c_str(),
+        std::fprintf(stderr, "replay failed (%s): %s\n", preset,
                      result.status().ToString().c_str());
         return 1;
       }
       CurvePoint point;
       point.topology = snowflake ? "snowflake" : "star";
-      point.policy = preset.name;
+      point.policy = preset;
       point.stats = result->final_policy;
       point.mean_adopted_qc = result->MeanAdoptedQc();
       point.adoptions = result->adoptions;

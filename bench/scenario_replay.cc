@@ -17,7 +17,7 @@
 //   --snowflake        add second-level chains
 //   --full-flush       disable delta-aware invalidation (the oracle mode)
 //   --threads=N        synchronization workers  (default 0 = auto)
-//   --policy=NAME      EvolutionPolicy preset (exhaustive / balanced /
+//   --policy=NAME      policy preset (exhaustive / balanced /
 //                      latency_bound); also via EVE_POLICY.  Unset runs
 //                      exactly as before (stdout byte-identical).
 
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   EveOptions eve_options =
-      preset->has_value() ? (*preset)->ToEveOptions() : EveOptions{};
+      preset->has_value() ? (*preset)->options : EveOptions{};
   eve_options.materialize = false;
   eve_options.synchronize_threads =
       static_cast<int>(FlagValue(argc, argv, "threads", 0));
@@ -85,9 +85,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   (*system)->mkb().set_selective_invalidation(
-      preset->has_value() ? (*preset)->selective_invalidation &&
-                                !FlagSet(argc, argv, "full-flush")
-                          : !FlagSet(argc, argv, "full-flush"));
+      !FlagSet(argc, argv, "full-flush"));
 
   const std::vector<ScenarioEvent> stream =
       GenerateEventStream(scenario, events, scenario.seed + 1);

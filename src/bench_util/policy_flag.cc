@@ -6,7 +6,7 @@
 
 namespace eve {
 
-Result<std::optional<EvolutionPolicy>> PolicyFromFlags(int argc, char** argv) {
+Result<std::optional<FlagPolicy>> PolicyFromFlags(int argc, char** argv) {
   static constexpr char kPrefix[] = "--policy=";
   std::string name;
   for (int i = 1; i < argc; ++i) {
@@ -19,9 +19,11 @@ Result<std::optional<EvolutionPolicy>> PolicyFromFlags(int argc, char** argv) {
     const char* env = std::getenv("EVE_POLICY");
     if (env != nullptr) name = env;
   }
-  if (name.empty()) return std::optional<EvolutionPolicy>();
-  EVE_ASSIGN_OR_RETURN(EvolutionPolicy policy, PolicyPresetByName(name));
-  return std::optional<EvolutionPolicy>(std::move(policy));
+  if (name.empty()) return std::optional<FlagPolicy>();
+  FlagPolicy policy;
+  EVE_ASSIGN_OR_RETURN(policy.name, CanonicalPresetName(name));
+  EVE_ASSIGN_OR_RETURN(policy.options, PolicyPresetByName(policy.name));
+  return std::optional<FlagPolicy>(std::move(policy));
 }
 
 }  // namespace eve

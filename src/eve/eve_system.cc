@@ -46,6 +46,22 @@ std::string ChangeReport::ToString() const {
   return out;
 }
 
+Status EveOptions::Validate() const {
+  if (synchronizer.max_rewritings <= 0) {
+    return Status::InvalidArgument(
+        "EveOptions: synchronizer.max_rewritings must be positive");
+  }
+  if (synchronizer.max_pc_hops < 1) {
+    return Status::InvalidArgument(
+        "EveOptions: synchronizer.max_pc_hops must be >= 1");
+  }
+  if (policy.cap_max_rewritings <= 0) {
+    return Status::InvalidArgument(
+        "EveOptions: policy.cap_max_rewritings must be positive");
+  }
+  return qc.Validate();
+}
+
 EveSystem::EveSystem(EveOptions options) : options_(std::move(options)) {
   // Epoch 1 exists from birth so snapshots().Current() is never null; an
   // empty space is a perfectly valid (empty) snapshot.  Fault injection is
@@ -164,12 +180,7 @@ Result<const ViewEntry*> EveSystem::GetViewEntry(const std::string& name) const 
 Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
   ChangeReport report;
   report.change = SchemaChangeToString(change);
-  if (options_.ranker != nullptr &&
-      !options_.synchronizer.use_delta_enumeration) {
-    return Status::InvalidArgument(
-        "an adoption ranker requires the delta enumeration pipeline "
-        "(synchronizer.use_delta_enumeration)");
-  }
+  EVE_RETURN_IF_ERROR(options_.Validate());
 
   // 1. Affected views.  Site resolution uses the space's cached name map,
   // rebuilt only after relation-level changes instead of rescanning every
@@ -221,81 +232,57 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
       return Status::OK();
     }
 
-    // Delta pipeline (default): candidates stay as (base, op-log) pairs
-    // through scoring; only the ranked output and the adopted definition
-    // ever materialize.  The eager branch is the retained oracle and
-    // produces the identical report (tested).
-    bool affected = false;
-    bool dead = false;
-    bool truncated = false;
-    std::string truncation_reason;
+    // Candidates stay as (base, op-log) pairs through scoring; only the
+    // ranked output and the adopted definition ever materialize.  A cap
+    // decision tightens the strategy set / result cap for this one pair;
+    // the per-pair synchronizer is cheap (it only captures options).
+    CandidateSynchronizationResult sync;
+    if (decision.action == PolicyAction::kCap) {
+      ViewSynchronizer capped(mkb_, decision.options);
+      EVE_ASSIGN_OR_RETURN(sync, capped.SynchronizeCandidates(
+                                     entry->definition, change, ExecCtx()));
+    } else {
+      EVE_ASSIGN_OR_RETURN(sync, synchronizer.SynchronizeCandidates(
+                                     entry->definition, change, ExecCtx()));
+    }
+    const bool affected = sync.affected;
+    const bool truncated = sync.truncated;
+    out.considered = sync.candidates_considered;
+    // A truncated empty result proves nothing: the view may well have
+    // rewritings the budget never reached, so death is only declared from
+    // a COMPLETE enumeration (checked below).
+    const bool dead = affected && sync.candidates.empty() && !truncated;
     ViewDefinition first_legal;
     ViewDefinition ranker_choice;
-    if (options_.synchronizer.use_delta_enumeration) {
-      // A cap decision tightens the strategy set / result cap for this one
-      // pair; the per-pair synchronizer is cheap (it only captures options).
-      CandidateSynchronizationResult sync;
-      if (decision.action == PolicyAction::kCap) {
-        ViewSynchronizer capped(mkb_, decision.options);
-        EVE_ASSIGN_OR_RETURN(sync,
-                             capped.SynchronizeCandidates(entry->definition,
-                                                          change, ExecCtx()));
-      } else {
-        EVE_ASSIGN_OR_RETURN(sync, synchronizer.SynchronizeCandidates(
-                                       entry->definition, change, ExecCtx()));
+    if (affected && !sync.candidates.empty()) {
+      if (options_.adopt_first_legal) {
+        first_legal = sync.candidates.front().Definition();
       }
-      affected = sync.affected;
-      truncated = sync.truncated;
-      truncation_reason = std::move(sync.truncation_reason);
-      out.considered = sync.candidates_considered;
-      // A truncated empty result proves nothing: the view may well have
-      // rewritings the budget never reached, so death is only declared
-      // from a COMPLETE enumeration (checked below).
-      dead = sync.affected && sync.candidates.empty() && !truncated;
-      if (!dead && sync.affected && !sync.candidates.empty()) {
-        if (options_.adopt_first_legal) {
-          first_legal = sync.candidates.front().Definition();
-        }
-        if (options_.ranker != nullptr) {
-          // Stable argmax of the plugin's scores decides adoption; the QC
-          // ranking below is still computed and reported unchanged.
-          EVE_ASSIGN_OR_RETURN(
-              const std::vector<double> scores,
-              options_.ranker->Score(entry->definition, sync.candidates,
-                                     mkb_));
-          size_t pick = 0;
-          for (size_t s = 1; s < scores.size(); ++s) {
-            if (scores[s] > scores[pick]) pick = s;
-          }
-          ranker_choice = sync.candidates[pick].Definition();
-        }
-        EVE_ASSIGN_OR_RETURN(view_report.ranking,
-                             model.RankCandidates(entry->definition,
-                                                  std::move(sync.candidates),
-                                                  mkb_));
-      }
-    } else {
-      EVE_ASSIGN_OR_RETURN(SynchronizationResult sync,
-                           synchronizer.Synchronize(entry->definition, change));
-      affected = sync.affected;
-      dead = sync.affected && sync.rewritings.empty();
-      if (!dead && sync.affected) {
-        if (options_.adopt_first_legal) {
-          first_legal = sync.rewritings.front().definition;
-        }
+      if (options_.ranker != nullptr) {
+        // Stable argmax of the plugin's scores decides adoption; the QC
+        // ranking below is still computed and reported unchanged.
         EVE_ASSIGN_OR_RETURN(
-            view_report.ranking,
-            model.Rank(entry->definition, std::move(sync.rewritings), mkb_));
+            const std::vector<double> scores,
+            options_.ranker->Score(entry->definition, sync.candidates, mkb_));
+        size_t pick = 0;
+        for (size_t s = 1; s < scores.size(); ++s) {
+          if (scores[s] > scores[pick]) pick = s;
+        }
+        ranker_choice = sync.candidates[pick].Definition();
       }
+      EVE_ASSIGN_OR_RETURN(
+          view_report.ranking,
+          model.RankCandidates(entry->definition, std::move(sync.candidates),
+                               mkb_));
     }
-    if (affected && truncated && view_report.ranking.empty() &&
-        first_legal.name.empty()) {
+    if (affected && truncated && view_report.ranking.empty()) {
       // Neither adoption nor death can be decided for this view; fail the
       // whole change BEFORE any state mutation (steps 4-5 have not run).
       return Status::ResourceExhausted(
           "synchronization of view " + view_name +
           " was cut off before any legal rewriting was found (" +
-          truncation_reason + "); raise the budget/deadline and renotify");
+          sync.truncation_reason +
+          "); raise the budget/deadline and renotify");
     }
 
     view_report.affected = affected;

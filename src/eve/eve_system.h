@@ -68,7 +68,9 @@ struct ChangeReport {
   std::string ToString() const;
 };
 
-/// Configuration of an EveSystem.
+/// Configuration of an EveSystem: the one configuration surface of the
+/// pipeline (enumeration, decision policy, ranking, maintenance, threading,
+/// governance).  policy/presets.h names three starting points.
 struct EveOptions {
   SynchronizerOptions synchronizer;
   QcParameters qc;
@@ -89,7 +91,7 @@ struct EveOptions {
   /// Optional adoption ranker plugin (policy/ranker.h).  Null adopts the
   /// QC-Model's top pick (the paper's behavior).  When set, the QC ranking
   /// is still computed and reported, but the adopted rewriting is the
-  /// ranker's stable argmax.  Requires the delta enumeration pipeline.
+  /// ranker's stable argmax.
   std::shared_ptr<const CandidateRanker> ranker;
   /// Worker threads for the per-view enumerate+rank loop of
   /// NotifySchemaChange (the views are independent: each synchronizes
@@ -110,8 +112,21 @@ struct EveOptions {
   /// marks the report truncated; it never falsely declares a view dead (a
   /// truncated enumeration with NO rewriting found is an error, since
   /// neither adoption nor death can be decided).  Stops during execution /
-  /// materialization are hard errors, raised before any state mutation.
+  /// materialization are hard errors, but not always raised before a
+  /// mutation: DefineView rolls its registration back, whereas
+  /// NotifySchemaChange rematerializes AFTER applying the change to space
+  /// and MKB (a stop there leaves the change committed, the failing view
+  /// on its new definition with a stale extent, and later adopted views on
+  /// their old definitions), and NotifyDataUpdate maintains view by view
+  /// (a stop leaves some extents maintained and the rest not).
+  /// ROADMAP item 5 tracks the staged all-or-nothing commit.
   const ExecContext* exec = nullptr;
+
+  /// Checks cross-field consistency: max_rewritings positive,
+  /// max_pc_hops >= 1, policy.cap_max_rewritings positive, QC weights
+  /// valid.  NotifySchemaChange runs it on entry, so a bad configuration
+  /// fails the first schema change before any mutation.
+  Status Validate() const;
 };
 
 /// The EVE system facade.

@@ -1208,11 +1208,6 @@ ViewSynchronizer::ViewSynchronizer(const MetaKnowledgeBase& mkb,
 Result<SynchronizationResult> ViewSynchronizer::Synchronize(
     const ViewDefinition& view, const SchemaChange& change,
     const ExecContext& ctx) const {
-  if (!options_.use_delta_enumeration) {
-    // The eager oracle is the ungoverned equivalence baseline; ctx is
-    // intentionally not threaded through it.
-    return internal::SynchronizeEager(mkb_, options_, view, change);
-  }
   EVE_ASSIGN_OR_RETURN(PartialSet set,
                        Impl(mkb_, options_, view, change, ctx).Run());
   SynchronizationResult result;

@@ -59,12 +59,6 @@ struct SynchronizerOptions {
   /// Replacement discovery follows chains of up to this many PC constraints
   /// (transitively derived edges; 1 = direct constraints only).
   int max_pc_hops = 4;
-  /// Enumerate candidates as a shared base + RewriteDelta op log
-  /// (copy-on-write; see synch/partial.h) instead of deep-copying the whole
-  /// ViewDefinition per strategy candidate.  Off falls back to the seed's
-  /// eager implementation, retained as the equivalence oracle -- both paths
-  /// produce byte-identical SynchronizationResults (tested).
-  bool use_delta_enumeration = true;
 };
 
 /// The view synchronizer.
@@ -74,18 +68,15 @@ class ViewSynchronizer {
   explicit ViewSynchronizer(const MetaKnowledgeBase& mkb,
                             SynchronizerOptions options = {});
 
-  /// Generates the legal rewritings of `view` under `change`.  With
-  /// use_delta_enumeration (the default) this materializes the surviving
-  /// candidates of SynchronizeCandidates; otherwise it runs the eager
-  /// oracle.
+  /// Generates the legal rewritings of `view` under `change`: the surviving
+  /// candidates of SynchronizeCandidates, materialized.
   ///
   /// Governance (`ctx`): each derived candidate charges one unit of the
   /// candidate budget, and MKB closure misses charge the row budget.  When
   /// the candidate budget or the deadline runs out mid-enumeration the call
   /// still SUCCEEDS, returning the legal best-so-far rewritings with
   /// `truncated` set (graceful degradation); cancellation and injected
-  /// faults surface as hard errors.  The eager oracle path ignores `ctx`
-  /// (it exists as the ungoverned equivalence baseline).
+  /// faults surface as hard errors.
   Result<SynchronizationResult> Synchronize(
       const ViewDefinition& view, const SchemaChange& change,
       const ExecContext& ctx = ExecContext::Unlimited()) const;
@@ -109,8 +100,9 @@ class ViewSynchronizer {
 namespace internal {
 
 /// The seed's eager (deep-copy-per-candidate) synchronizer, kept verbatim
-/// as the equivalence oracle for the delta pipeline.  Reached through
-/// SynchronizerOptions::use_delta_enumeration = false.
+/// as the equivalence oracle for the delta pipeline.  Production never
+/// reaches it; tests and the eager fan-out micro benchmark call it
+/// directly.  Ungoverned: it takes no ExecContext.
 Result<SynchronizationResult> SynchronizeEager(const MetaKnowledgeBase& mkb,
                                                const SynchronizerOptions& options,
                                                const ViewDefinition& view,

@@ -1,8 +1,8 @@
 // The selective rewriting policy (src/policy/): decision pre-checks
 // verified against full enumeration (the oracle), cap top-1 preservation,
-// the unified EvolutionPolicy surface (presets, builder, Validate), the
-// pluggable rankers (QC default, learned linear from JSON) and their
-// determinism across thread counts, and the per-decision counters.
+// the EveOptions presets and Validate(), the pluggable rankers (QC
+// default, learned linear from JSON) and their determinism across thread
+// counts, and the per-decision counters.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@
 #include "bench_util/scenario.h"
 #include "esql/parser.h"
 #include "esql/printer.h"
-#include "policy/evolution_policy.h"
 #include "policy/policy.h"
+#include "policy/presets.h"
 #include "policy/ranker.h"
 #include "qc/ranking.h"
 #include "synch/strategy_set.h"
@@ -54,64 +54,54 @@ TEST(StrategySet, ToStringListsMembers) {
   EXPECT_NE(all.find("cvs-pair"), std::string::npos);
 }
 
-// --- EvolutionPolicy surface (satellite 1) -----------------------------------
+// --- EveOptions presets and Validate ----------------------------------------
 
-TEST(EvolutionPolicy, PresetsValidate) {
-  EXPECT_TRUE(EvolutionPolicy::Exhaustive().Validate().ok());
-  EXPECT_TRUE(EvolutionPolicy::Balanced().Validate().ok());
-  EXPECT_TRUE(EvolutionPolicy::LatencyBound().Validate().ok());
-  EXPECT_EQ(EvolutionPolicy::Exhaustive().policy.mode,
-            PolicyMode::kExhaustive);
-  EXPECT_EQ(EvolutionPolicy::Balanced().policy.mode, PolicyMode::kBalanced);
-  EXPECT_EQ(EvolutionPolicy::LatencyBound().policy.mode,
-            PolicyMode::kLatencyBound);
+TEST(EveOptionsPresets, PresetsValidate) {
+  EXPECT_TRUE(ExhaustivePreset().Validate().ok());
+  EXPECT_TRUE(BalancedPreset().Validate().ok());
+  EXPECT_TRUE(LatencyBoundPreset().Validate().ok());
+  EXPECT_EQ(ExhaustivePreset().policy.mode, PolicyMode::kExhaustive);
+  EXPECT_EQ(BalancedPreset().policy.mode, PolicyMode::kBalanced);
+  EXPECT_EQ(BalancedPreset().policy.cap_max_rewritings, 32);
+  const EveOptions latency = LatencyBoundPreset();
+  EXPECT_EQ(latency.policy.mode, PolicyMode::kLatencyBound);
+  EXPECT_EQ(latency.policy.cap_max_rewritings, 8);
+  EXPECT_EQ(latency.synchronizer.max_pc_hops, 2);
+  EXPECT_EQ(latency.synchronizer.max_rewritings, 32);
 }
 
-TEST(EvolutionPolicy, PresetByNameIsCaseInsensitive) {
+TEST(EveOptionsPresets, PresetByNameIsCaseInsensitive) {
   EXPECT_TRUE(PolicyPresetByName("exhaustive").ok());
   EXPECT_TRUE(PolicyPresetByName("Balanced").ok());
   EXPECT_TRUE(PolicyPresetByName("LATENCY_BOUND").ok());
   EXPECT_TRUE(PolicyPresetByName("latency-bound").ok());
-  EXPECT_EQ(PolicyPresetByName("balanced")->name, "balanced");
+  EXPECT_EQ(PolicyPresetByName("Balanced")->policy.mode, PolicyMode::kBalanced);
+  EXPECT_EQ(CanonicalPresetName("LATENCY-BOUND").value(), "latency_bound");
+  EXPECT_EQ(CanonicalPresetName("Exhaustive").value(), "exhaustive");
   EXPECT_FALSE(PolicyPresetByName("greedy").ok());
   EXPECT_FALSE(PolicyPresetByName("").ok());
 }
 
-TEST(EvolutionPolicy, ValidateRejectsBadKnobs) {
-  EXPECT_FALSE(EvolutionPolicyBuilder().MaxRewritings(0).Build().ok());
-  EXPECT_FALSE(EvolutionPolicyBuilder().MaxRewritings(-3).Build().ok());
-  EXPECT_FALSE(EvolutionPolicyBuilder().MaxPcHops(0).Build().ok());
-  EXPECT_FALSE(EvolutionPolicyBuilder().CapMaxRewritings(0).Build().ok());
-
-  EvolutionPolicy unknown_version;
-  unknown_version.version = 99;
-  EXPECT_FALSE(unknown_version.Validate().ok());
-
-  // A ranker needs the delta pipeline (candidates are scored as overlays).
-  EvolutionPolicy eager_with_ranker;
-  eager_with_ranker.synchronizer.use_delta_enumeration = false;
-  eager_with_ranker.ranker = std::make_shared<QcRanker>(
-      QcParameters{}, CostModelOptions{}, WorkloadOptions{});
-  EXPECT_FALSE(eager_with_ranker.Validate().ok());
-  eager_with_ranker.synchronizer.use_delta_enumeration = true;
-  EXPECT_TRUE(eager_with_ranker.Validate().ok());
-}
-
-TEST(EvolutionPolicy, BuilderComposesOntoPreset) {
-  auto built = EvolutionPolicyBuilder(EvolutionPolicy::Balanced())
-                   .MaxRewritings(64)
-                   .Strategies(StrategySet::All().Without(Strategy::kCvsPair))
-                   .SynchronizeThreads(2)
-                   .Name("tuned")
-                   .Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_EQ(built->name, "tuned");
-  EXPECT_EQ(built->policy.mode, PolicyMode::kBalanced);
-  EXPECT_EQ(built->synchronizer.max_rewritings, 64);
-  EXPECT_FALSE(built->synchronizer.strategies.Has(Strategy::kCvsPair));
-  const EveOptions options = built->ToEveOptions();
-  EXPECT_EQ(options.synchronize_threads, 2);
-  EXPECT_EQ(options.policy.mode, PolicyMode::kBalanced);
+TEST(EveOptionsPresets, ValidateRejectsBadKnobs) {
+  EXPECT_TRUE(EveOptions{}.Validate().ok());
+  const auto rejects = [](auto mutate) {
+    EveOptions options = BalancedPreset();
+    mutate(options);
+    return !options.Validate().ok();
+  };
+  EXPECT_TRUE(
+      rejects([](EveOptions& o) { o.synchronizer.max_rewritings = 0; }));
+  EXPECT_TRUE(
+      rejects([](EveOptions& o) { o.synchronizer.max_rewritings = -3; }));
+  EXPECT_TRUE(rejects([](EveOptions& o) { o.synchronizer.max_pc_hops = 0; }));
+  EXPECT_TRUE(
+      rejects([](EveOptions& o) { o.policy.cap_max_rewritings = 0; }));
+  EXPECT_TRUE(rejects([](EveOptions& o) { o.qc.w1 = 1.5; }));
+  // A ranker is valid on its own: enumeration is always delta-based.
+  EXPECT_FALSE(rejects([](EveOptions& o) {
+    o.ranker = std::make_shared<QcRanker>(QcParameters{}, CostModelOptions{},
+                                          WorkloadOptions{});
+  }));
 }
 
 // --- LinearRanker JSON weights ----------------------------------------------
@@ -404,8 +394,7 @@ TEST(PolicyOracle, EveryStreamDecisionSoundAgainstFullEnumeration) {
 // behavior: same ChangeReports over a full stream.
 TEST(PolicyEndToEnd, ExhaustivePresetByteIdenticalToSeedOptions) {
   const auto seed_system = BuildSmall(EveOptions{});
-  const auto policy_system =
-      BuildSmall(EvolutionPolicy::Exhaustive().ToEveOptions());
+  const auto policy_system = BuildSmall(ExhaustivePreset());
   const auto stream =
       GenerateEventStream(SmallScenario(), 300, SmallScenario().seed + 1);
   for (const ScenarioEvent& event : stream) {
@@ -435,8 +424,7 @@ TEST(PolicyEndToEnd, BalancedCountersAndSurvivalMatchOracle) {
   scenario.partial_mirrors = 8;
   const auto stream = GenerateEventStream(scenario, 400, scenario.seed + 1);
   const auto exhaustive = BuildSmall(EveOptions{}, 0, scenario);
-  const auto balanced =
-      BuildSmall(EvolutionPolicy::Balanced().ToEveOptions(), 0, scenario);
+  const auto balanced = BuildSmall(BalancedPreset(), 0, scenario);
   const auto a = ReplayScenario(*exhaustive, stream);
   const auto b = ReplayScenario(*balanced, stream);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
@@ -476,7 +464,7 @@ TEST(PolicyEndToEnd, LinearRankerAdoptionDeterministicAcrossThreads) {
 
   std::string serial_log;
   for (int threads : {1, 2, 4}) {
-    EveOptions options = EvolutionPolicy::Balanced().ToEveOptions();
+    EveOptions options = BalancedPreset();
     options.ranker = shared;
     const auto system = BuildSmall(options, threads);
     std::string log;
@@ -498,22 +486,32 @@ TEST(PolicyEndToEnd, LinearRankerAdoptionDeterministicAcrossThreads) {
   }
 }
 
-// A ranker without the delta pipeline is a configuration error, surfaced
-// at the first schema change.
-TEST(PolicyEndToEnd, RankerRequiresDeltaEnumeration) {
+// An invalid configuration is rejected at the first schema change, on entry:
+// nothing is synchronized or applied, so the view keeps its old definition
+// and the space keeps the relation under its old name.
+TEST(PolicyEndToEnd, InvalidOptionsRejectedBeforeAnyMutation) {
   EveOptions options;
-  options.synchronizer.use_delta_enumeration = false;
-  options.ranker = std::make_shared<QcRanker>(
-      QcParameters{}, CostModelOptions{}, WorkloadOptions{});
+  options.synchronizer.max_rewritings = 0;
   options.materialize = false;
   EveSystem system(options);
   const Schema ab({Attribute::Make("A", DataType::kInt64, 50)});
   Relation r("R", ab);
   ASSERT_TRUE(system.RegisterRelation("IS1", std::move(r), 1.0).ok());
   ASSERT_TRUE(system.DefineView("CREATE VIEW V AS SELECT R.A FROM R").ok());
+  const ViewDefinition before = system.GetViewDefinition("V").value();
+  const uint64_t epoch = system.snapshots().Current()->sequence();
+
   const auto report = system.NotifySchemaChange(
-      SchemaChange(RenameAttribute{RelationId{"IS1", "R"}, "A", "A2"}));
-  EXPECT_FALSE(report.ok());
+      SchemaChange(DeleteRelation{RelationId{"IS1", "R"}}));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(system.GetViewState("V").value(), ViewState::kAlive);
+  EXPECT_EQ(PrintViewCompact(system.GetViewDefinition("V").value()),
+            PrintViewCompact(before));
+  EXPECT_TRUE(system.mkb().HasRelation(RelationId{"IS1", "R"}));
+  EXPECT_TRUE(system.space().Resolve("IS1", "R").ok());
+  EXPECT_EQ(system.snapshots().Current()->sequence(), epoch);
 }
 
 }  // namespace

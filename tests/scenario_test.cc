@@ -1,16 +1,19 @@
 // Evolution-stream scenario engine (bench_util/scenario.h): generator
 // determinism, end-to-end replay, equivalence of the two MKB invalidation
 // modes over a full stream, byte-identical parallel vs serial
-// ChangeReports, and once-per-change snapshot publication (including the
-// SnapshotBatch bulk-load suppression).
+// ChangeReports, once-per-change snapshot publication (including the
+// SnapshotBatch bulk-load suppression), and a cross-commit golden checksum
+// of the rendered ChangeReports over seeded streams.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util/scenario.h"
+#include "policy/presets.h"
 
 namespace eve {
 namespace {
@@ -187,6 +190,86 @@ TEST(SnapshotPublication, OncePerChangeAndBatched) {
         << "publication must be deferred inside the batch";
   }
   EXPECT_EQ(system->snapshots().Current()->sequence(), seq0 + 2);
+}
+
+// Golden pin of the evolution pipeline's observable output: an FNV-1a hash
+// of every ChangeReport::ToString() over a seeded stream, per (seed, space
+// shape, policy preset).  The constants were recorded once and must never
+// move under a refactor; a legitimate behavior change updates them (and
+// says why) in the same change.  A mismatch prints the new hash.
+uint64_t Fnv1a(uint64_t hash, const std::string& text) {
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ScenarioGolden, ChangeReportChecksumsArePinned) {
+  struct Shape {
+    const char* name;
+    bool snowflake;
+    int partial_mirrors;
+  };
+  const Shape shapes[] = {{"star", false, 0},
+                          {"snowflake", true, 0},
+                          {"snowflake+mirrors", true, 2}};
+  struct Policy {
+    const char* name;
+    EveOptions options;
+  };
+  const Policy policies[] = {{"exhaustive", ExhaustivePreset()},
+                             {"balanced", BalancedPreset()}};
+  // Indexed [seed - 1][shape][policy].
+  const uint64_t kExpected[3][3][2] = {
+      {{0x844677b4073061b2ULL, 0xbb38a0585ece8522ULL},
+       {0x844677b4073061b2ULL, 0xbb38a0585ece8522ULL},
+       {0xd8ed14e9fdc1bccbULL, 0x3cf4cc301e389cdbULL}},
+      {{0xb908a8cf1bca85c4ULL, 0x172df784250f0fbeULL},
+       {0x10b2d812850e8980ULL, 0x48d8a622bf720abeULL},
+       {0x019f2f12ec852319ULL, 0x3c320ac5bddbc9fdULL}},
+      {{0x7a958181c69317f5ULL, 0x6efff6d8cd0416cfULL},
+       {0xc19e6935e8ca199fULL, 0x97788721f833b68dULL},
+       {0x9394984c247a741aULL, 0x7332b26e55a56102ULL}},
+  };
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (int s = 0; s < 3; ++s) {
+      ScenarioOptions options = SmallScenario();
+      options.seed = seed;
+      options.snowflake = shapes[s].snowflake;
+      options.partial_mirrors = shapes[s].partial_mirrors;
+      const auto stream = GenerateEventStream(options, 200, seed);
+      for (int p = 0; p < 2; ++p) {
+        EveOptions eve_options = policies[p].options;
+        eve_options.materialize = false;
+        auto system = BuildScenarioSystem(options, eve_options);
+        ASSERT_TRUE(system.ok()) << system.status().ToString();
+        uint64_t hash = 0xcbf29ce484222325ULL;
+        int reports = 0;
+        for (const ScenarioEvent& event : stream) {
+          if (const auto* change = std::get_if<SchemaChange>(&event.op)) {
+            const auto report = (*system)->NotifySchemaChange(*change);
+            ASSERT_TRUE(report.ok()) << event.ToString() << ": "
+                                     << report.status().ToString();
+            hash = Fnv1a(hash, report->ToString());
+            ++reports;
+          } else if (const auto* update = std::get_if<DataUpdate>(&event.op)) {
+            ASSERT_TRUE((*system)->NotifyDataUpdate(*update).ok())
+                << event.ToString();
+          } else {
+            ASSERT_TRUE((*system)
+                            ->AddPcConstraint(std::get<PcConstraint>(event.op))
+                            .ok())
+                << event.ToString();
+          }
+        }
+        EXPECT_GT(reports, 0);
+        EXPECT_EQ(hash, kExpected[seed - 1][s][p])
+            << "seed=" << seed << " shape=" << shapes[s].name
+            << " policy=" << policies[p].name << " got 0x" << std::hex << hash;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -75,14 +75,11 @@ void ExpectRewritingsEqual(const Rewriting& a, const Rewriting& b) {
 // also asserts the SynchronizeCandidates -> ToRewriting route matches.
 void ExpectEquivalent(const MetaKnowledgeBase& mkb, const ViewDefinition& view,
                       const SchemaChange& change,
-                      SynchronizerOptions options = {}) {
-  options.use_delta_enumeration = true;
+                      const SynchronizerOptions& options = {}) {
   const ViewSynchronizer delta(mkb, options);
-  options.use_delta_enumeration = false;
-  const ViewSynchronizer eager(mkb, options);
 
   const auto d = delta.Synchronize(view, change);
-  const auto e = eager.Synchronize(view, change);
+  const auto e = internal::SynchronizeEager(mkb, options, view, change);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_EQ(d->affected, e->affected);
@@ -309,41 +306,54 @@ TEST(DeltaEquivalence, RankCandidatesMatchesRank) {
   }
 }
 
-// End to end: the full EveSystem change report must be byte-identical under
-// both pipelines (synchronization, ranking, adoption, rematerialization).
+// End to end: the EveSystem change report (delta synchronization,
+// candidate ranking, adoption) must render exactly what the eager oracle
+// plus the materialized QcModel::Rank produce against the same PRE-change
+// MKB.
 TEST(DeltaEquivalence, EveSystemReportIsByteIdentical) {
-  auto build = [](bool use_delta) -> std::string {
-    EveOptions options;
-    options.synchronizer.use_delta_enumeration = use_delta;
-    EveSystem eve(options);
-    Relation r("R", IntSchema({"A", "B"}));
-    (void)r.Insert(Tuple{Value(int64_t{1}), Value(int64_t{10})});
-    (void)r.Insert(Tuple{Value(int64_t{2}), Value(int64_t{20})});
-    Relation t("T", IntSchema({"A", "B"}));
-    (void)t.Insert(Tuple{Value(int64_t{1}), Value(int64_t{10})});
-    (void)t.Insert(Tuple{Value(int64_t{3}), Value(int64_t{30})});
-    EXPECT_TRUE(eve.RegisterRelation("IS1", std::move(r)).ok());
-    EXPECT_TRUE(eve.RegisterRelation("IS2", std::move(t)).ok());
-    EXPECT_TRUE(
-        eve.DeclareConstraint("PC CONSTRAINT R (A, B) EQUIVALENT T (A, B)")
-            .ok());
-    EXPECT_TRUE(
-        eve.DefineView("CREATE VIEW V AS SELECT R.A (AR=true), "
-                       "R.B (AD=true, AR=true) FROM R (RR=true)")
-            .ok());
-    auto report =
-        eve.NotifySchemaChange(SchemaChange(DeleteRelation{RelationId{"IS1", "R"}}));
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    std::string out = report->ToString();
-    auto extent = eve.GetViewExtent("V");
-    EXPECT_TRUE(extent.ok());
-    if (extent.ok()) out += extent->ToString();
-    return out;
-  };
-  const std::string delta_report = build(true);
-  const std::string eager_report = build(false);
-  EXPECT_EQ(delta_report, eager_report);
-  EXPECT_FALSE(delta_report.empty());
+  EveSystem eve;
+  Relation r("R", IntSchema({"A", "B"}));
+  (void)r.Insert(Tuple{Value(int64_t{1}), Value(int64_t{10})});
+  (void)r.Insert(Tuple{Value(int64_t{2}), Value(int64_t{20})});
+  Relation t("T", IntSchema({"A", "B"}));
+  (void)t.Insert(Tuple{Value(int64_t{1}), Value(int64_t{10})});
+  (void)t.Insert(Tuple{Value(int64_t{3}), Value(int64_t{30})});
+  ASSERT_TRUE(eve.RegisterRelation("IS1", std::move(r)).ok());
+  ASSERT_TRUE(eve.RegisterRelation("IS2", std::move(t)).ok());
+  ASSERT_TRUE(
+      eve.DeclareConstraint("PC CONSTRAINT R (A, B) EQUIVALENT T (A, B)").ok());
+  ASSERT_TRUE(eve.DefineView("CREATE VIEW V AS SELECT R.A (AR=true), "
+                             "R.B (AD=true, AR=true) FROM R (RR=true)")
+                  .ok());
+  const SchemaChange change(DeleteRelation{RelationId{"IS1", "R"}});
+  const ViewDefinition view = eve.GetViewDefinition("V").value();
+
+  const EveOptions& options = eve.options();
+  auto eager = internal::SynchronizeEager(eve.mkb(), options.synchronizer,
+                                          view, change);
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  const QcModel model(options.qc, options.cost, options.workload);
+  auto eager_ranking =
+      model.Rank(view, std::move(eager->rewritings), eve.mkb());
+  ASSERT_TRUE(eager_ranking.ok()) << eager_ranking.status().ToString();
+  ASSERT_FALSE(eager_ranking->empty());
+
+  auto report = eve.NotifySchemaChange(change);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->views.size(), 1u);
+  const ViewSynchronizationReport& v = report->views[0];
+  EXPECT_EQ(v.resulting_state, ViewState::kAlive);
+  EXPECT_EQ(QcModel::FormatRanking(v.ranking),
+            QcModel::FormatRanking(*eager_ranking));
+  const std::string eager_adopted =
+      PrintViewCompact(eager_ranking->front().rewriting.definition);
+  EXPECT_EQ(v.adopted, eager_adopted);
+  EXPECT_NE(report->ToString().find(QcModel::FormatRanking(*eager_ranking) +
+                                    "adopted: " + eager_adopted),
+            std::string::npos);
+  EXPECT_EQ(PrintViewCompact(eve.GetViewDefinition("V").value()),
+            eager_adopted);
+  EXPECT_TRUE(eve.GetViewExtent("V").ok());
 }
 
 }  // namespace
