@@ -329,9 +329,11 @@ void BM_ServeThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeThroughput)->ThreadRange(1, 32)->UseRealTime();
 
-// Cost of one epoch turnover -- SystemSnapshot::Capture (one CoW Relation
-// copy per site relation, O(total columns), never O(rows)) plus the
-// atomic Publish -- as a function of how many relations the space hosts.
+// Cost of one epoch turnover with nothing changed -- an incremental
+// SystemSnapshot::Capture (one allocation-free walk over the space that
+// finds every relation unchanged and shares the previous epoch's relation
+// table, name maps, and view definitions) plus the atomic Publish -- as a
+// function of how many relations the space hosts.
 void BM_SnapshotSwap(benchmark::State& state) {
   EveSystem system;
   Random rng(67);
@@ -352,6 +354,68 @@ void BM_SnapshotSwap(benchmark::State& state) {
   state.SetItemsProcessed(swaps);
 }
 BENCHMARK(BM_SnapshotSwap)->Arg(4)->Arg(64);
+
+// The write path while an epoch holds the relation: each round copies the
+// live relation (what snapshot capture does), mutates the live one, and
+// restores it.  Chunked copy-on-write clones only the touched tail chunk,
+// so inserts stay flat in the row count (/10000 vs /40000); a tail erase
+// still scans column 0 once to find its victim.
+Relation WriteBenchInput(int64_t rows) {
+  Random rng(71);
+  GeneratorOptions gen;
+  gen.cardinality = rows;
+  gen.num_attributes = 4;
+  gen.key_domain = rows;
+  return GenerateRelation("F", gen, &rng);
+}
+
+void BM_InsertAfterSnapshot(benchmark::State& state) {
+  Relation live = WriteBenchInput(state.range(0));
+  const Tuple t = live.TupleAt(0);
+  for (auto _ : state) {
+    Relation held = live;
+    live.AddTuple(t);
+    benchmark::DoNotOptimize(live.cardinality());
+    live = std::move(held);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InsertAfterSnapshot)->Arg(10000)->Arg(40000);
+
+void BM_EraseTailAfterSnapshot(benchmark::State& state) {
+  Relation live = WriteBenchInput(state.range(0));
+  const Tuple t = live.TupleAt(live.cardinality() - 1);
+  for (auto _ : state) {
+    Relation held = live;
+    benchmark::DoNotOptimize(live.Erase(t));
+    live = std::move(held);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EraseTailAfterSnapshot)->Arg(10000)->Arg(40000);
+
+// One data update among N relations: the insert, plus the incremental
+// capture that refreezes only the mutated relation, plus the publish.
+void BM_PublishAfterInsert(benchmark::State& state) {
+  EveSystem system;
+  Random rng(67);
+  GeneratorOptions gen;
+  gen.cardinality = 512;
+  gen.num_attributes = 2;
+  gen.key_domain = 256;
+  for (int64_t r = 0; r < state.range(0); ++r) {
+    (void)system.RegisterRelation(
+        "IS1", GenerateRelation("R" + std::to_string(r), gen, &rng));
+  }
+  const DataUpdate update{UpdateKind::kInsert, RelationId{"IS1", "R0"},
+                          Tuple{Value(1), Value(2)}};
+  for (auto _ : state) {
+    auto counters = system.NotifyDataUpdate(update);
+    benchmark::DoNotOptimize(counters);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PublishAfterInsert)->Arg(64);
 
 struct SynchFixture {
   MetaKnowledgeBase mkb;

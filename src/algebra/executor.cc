@@ -94,7 +94,7 @@ Result<Relation> ExecutePrepared(const PreparedView& plan,
         parents.reserve(bounded);
         rows.reserve(bounded);
       }
-      // Batch probe: the key source is one contiguous column segment of one
+      // Batch probe: the key source is one column segment of one
       // relation addressed through one row-id column, so everything
       // loop-invariant is hoisted and the scan touches memory sequentially.
       const ColumnSegment& key_vals =
@@ -148,7 +148,7 @@ Result<Relation> ExecutePrepared(const PreparedView& plan,
 
     // Residual predicates filter the candidate pairs clause by clause
     // through a byte mask: each clause is one kernel pass over contiguous
-    // row-id arrays against contiguous value columns (the operator dispatch
+    // row-id arrays against chunked value columns (the operator dispatch
     // and column pointers hoisted out of the candidate loop), then the
     // survivors compact once.
     if (!step.residual.empty() && !parents.empty()) {
@@ -229,7 +229,7 @@ Result<Relation> ExecutePrepared(const PreparedView& plan,
     if (ws.combos == 0) break;  // Later joins cannot resurrect tuples.
   }
 
-  // Materialize column by column.  Each output column is one contiguous
+  // Materialize column by column.  Each output column is one
   // gather from its base relation's value column through the row-id column;
   // no Tuple is ever constructed.  The distinct pass dedups combo ids
   // first (hashing and equality run against the base columns), so only

@@ -90,7 +90,10 @@ Status EveSystem::PublishSnapshot() {
     publisher_.MarkStale();
     return faulted;
   }
-  publisher_.Publish(SystemSnapshot::Capture(space_, &vkb_));
+  // Incremental: unchanged relations, name maps, and view definitions are
+  // shared with the epoch being replaced.
+  publisher_.Publish(SystemSnapshot::Capture(space_, &vkb_,
+                                             publisher_.Current().get()));
   return Status::OK();
 }
 

@@ -4,11 +4,24 @@
 // space (and the alive view definitions) at one instant: one frozen
 // Relation per (site, relation), sharing the live relations' column
 // segments and already-built index/hash caches through the storage layer's
-// copy-on-write handles -- capture is O(total columns), not O(data).  The
-// snapshot implements RelationProvider, so prepared plans, PlanCache, and
-// ExecutePrepared run against it unchanged; because nothing can mutate it,
-// the whole read path is lock-free after planning (plans capture their
-// hash-join indexes at prepare time, plan/prepared_view.h).
+// copy-on-write handles.  The snapshot implements RelationProvider, so
+// prepared plans, PlanCache, and ExecutePrepared run against it unchanged;
+// because nothing can mutate it, the whole read path is lock-free after
+// planning (plans capture their hash-join indexes at prepare time,
+// plan/prepared_view.h).
+//
+// Capture is incremental: given the previous epoch, it copies only the
+// relations that changed (one cheap compare per relation, no per-row
+// work).  A relation whose (site, name,
+// identity, version) matches the previous epoch's entry reuses that frozen
+// copy (same `relations()[i].relation` pointer, so plans validated against
+// it stay valid); the relation table is shared whole when nothing changed;
+// the site/name maps are shared while InformationSpace::NameVersion() holds;
+// and the alive-view definitions are shared while
+// ViewKnowledgeBase::version() holds.  A changed relation's fresh copy
+// shares its column chunks with the live relation, whose next write clones
+// only the chunks it touches (storage/column_segment.h).  Every capture
+// still gets a fresh epoch id.
 //
 // The SnapshotPublisher holds the current snapshot in an atomic
 // shared_ptr.  Readers pin an epoch with Current() (wait-free, one atomic
@@ -66,10 +79,13 @@ struct RelationSnapshot {
 class SystemSnapshot : public RelationProvider {
  public:
   /// Captures the current state of `space` (and, when non-null, the alive
-  /// view definitions of `vkb`).  Must run on the mutator thread (the
-  /// single-writer contract of Relation); the result is safe to share.
-  static std::shared_ptr<SystemSnapshot> Capture(const InformationSpace& space,
-                                                 const ViewKnowledgeBase* vkb);
+  /// view definitions of `vkb`), reusing whatever of `previous` (when
+  /// non-null) is still current -- see the file comment.  Must run on the
+  /// mutator thread (the single-writer contract of Relation); the result is
+  /// safe to share.
+  static std::shared_ptr<SystemSnapshot> Capture(
+      const InformationSpace& space, const ViewKnowledgeBase* vkb,
+      const SystemSnapshot* previous = nullptr);
 
   /// Process-unique epoch id (never 0; never reused within a process).
   uint64_t epoch() const { return epoch_; }
@@ -89,22 +105,39 @@ class SystemSnapshot : public RelationProvider {
   /// definition until the new epoch is published.
   Result<ViewDefinition> View(const std::string& name) const;
 
-  const std::vector<RelationSnapshot>& relations() const { return relations_; }
+  const std::vector<RelationSnapshot>& relations() const {
+    return *relations_;
+  }
 
  private:
   friend class SnapshotPublisher;
 
+  /// site -> (name -> index into relations()), and bare name -> index or
+  /// kAmbiguous when hosted by several sites.  Shared across epochs while
+  /// the space's name shape holds.
+  struct NameMaps {
+    std::map<std::string, std::map<std::string, size_t>> by_site;
+    std::map<std::string, size_t> by_name;
+  };
+
   SystemSnapshot();
+
+  void CaptureRelations(const InformationSpace& space,
+                        const SystemSnapshot* previous);
+  void CaptureViews(const ViewKnowledgeBase* vkb,
+                    const SystemSnapshot* previous);
+  /// The entry for (site, name), or nullptr.
+  const RelationSnapshot* Find(const std::string& site,
+                               const std::string& name) const;
 
   uint64_t epoch_;
   uint64_t sequence_ = 0;
-  std::vector<RelationSnapshot> relations_;
-  /// site -> (name -> index into relations_).
-  std::map<std::string, std::map<std::string, size_t>> by_site_;
-  /// bare name -> index, or kAmbiguous when hosted by several sites.
-  std::map<std::string, size_t> by_name_;
-  /// Alive view definitions at capture time.
-  std::map<std::string, ViewDefinition> views_;
+  std::shared_ptr<const std::vector<RelationSnapshot>> relations_;
+  std::shared_ptr<const NameMaps> names_;
+  uint64_t name_version_ = 0;  ///< space.NameVersion() at capture.
+  /// Alive view definitions at capture time (null without a VKB).
+  std::shared_ptr<const std::map<std::string, ViewDefinition>> views_;
+  uint64_t views_version_ = 0;  ///< vkb->version() at capture (0: none).
 
   static constexpr size_t kAmbiguous = static_cast<size_t>(-1);
 };

@@ -51,6 +51,13 @@ class InformationSource {
   /// Relation names hosted here (sorted).
   std::vector<std::string> RelationNames() const;
 
+  /// Calls fn(name, relation) for every hosted relation in name order,
+  /// without allocating (snapshot capture walks the space with it).
+  template <typename Fn>
+  void ForEachRelation(Fn&& fn) const {
+    for (const auto& [name, rel] : relations_) fn(name, rel);
+  }
+
  private:
   std::string name_;
   std::map<std::string, Relation> relations_;

@@ -69,6 +69,18 @@ class InformationSpace : public RelationProvider {
   /// Sorted site names.
   std::vector<std::string> SiteNames() const;
 
+  /// Calls fn(site, name, relation) for every relation in (site, name)
+  /// order, without allocating.
+  template <typename Fn>
+  void ForEachRelation(Fn&& fn) const {
+    for (const auto& [site, source] : sources_) {
+      source.ForEachRelation(
+          [&](const std::string& name, const Relation& rel) {
+            fn(site, name, rel);
+          });
+    }
+  }
+
   // RelationProvider:
   Result<const Relation*> Resolve(const std::string& site,
                                   const std::string& relation) const override;

@@ -42,47 +42,70 @@ inline void DispatchOp(CompOp op, Body&& body) {
   }
 }
 
-// Calls packed(begin, end) for each maximal exception-free row range of
-// `col` and exc(row, value) for each exception row, ascending.  The packed
-// calls may read col.words() directly.
+// Global row id of local row 0 of chunk k.
+inline int64_t Base(int64_t k) { return k << ColumnSegment::kChunkShift; }
+
+// Calls fn(v, base, n) for each chunk of a kTagged segment: v points at
+// the chunk's n values, whose global row ids start at base.
+template <typename Fn>
+inline void ForEachTaggedChunk(const ColumnSegment& col, Fn&& fn) {
+  for (int64_t k = 0; k < col.num_chunks(); ++k) {
+    fn(col.chunk(k).tagged.data(), Base(k), col.chunk_rows(k));
+  }
+}
+
+// Calls packed(k, begin, end) for each maximal exception-free run of local
+// rows [begin, end) of chunk k of `col` and exc(row, value) for each
+// exception row (global row id), ascending; chunk boundaries end runs.  The
+// packed calls may read col.chunk(k).words directly; global row = base(k)
+// + local row.
 template <typename PackedFn, typename ExcFn>
 inline void ForEachRun(const ColumnSegment& col, PackedFn&& packed,
                        ExcFn&& exc) {
-  const auto& rows = col.exception_rows();
-  const auto& vals = col.exception_values();
-  int64_t begin = 0;
-  for (size_t k = 0; k < rows.size(); ++k) {
-    if (rows[k] > begin) packed(begin, rows[k]);
-    exc(rows[k], vals[k]);
-    begin = rows[k] + 1;
+  for (int64_t k = 0; k < col.num_chunks(); ++k) {
+    const ColumnSegment::Chunk& c = col.chunk(k);
+    const int64_t base = Base(k);
+    int64_t begin = 0;
+    for (size_t x = 0; x < c.exc_rows.size(); ++x) {
+      const int64_t r = c.exc_rows[x];
+      if (r > begin) packed(k, begin, r);
+      exc(base + r, c.exc_vals[x]);
+      begin = r + 1;
+    }
+    const int64_t rows = col.chunk_rows(k);
+    if (begin < rows) packed(k, begin, rows);
   }
-  if (begin < col.size()) packed(begin, col.size());
 }
 
-// Two-column variant: packed(begin, end) covers ranges exception-free in
-// BOTH segments; exc(row) fires for rows carried by either sidecar.
+// Two-column variant over equal-size segments (hence equal chunking):
+// packed(k, begin, end) covers local runs exception-free in BOTH
+// segments; exc(row) fires for global rows carried by either sidecar.
 template <typename PackedFn, typename ExcFn>
 inline void ForEachRun2(const ColumnSegment& a, const ColumnSegment& b,
                         PackedFn&& packed, ExcFn&& exc) {
-  const auto& ra = a.exception_rows();
-  const auto& rb = b.exception_rows();
-  size_t ia = 0;
-  size_t ib = 0;
-  int64_t begin = 0;
-  while (ia < ra.size() || ib < rb.size()) {
-    int64_t r;
-    if (ib >= rb.size() || (ia < ra.size() && ra[ia] <= rb[ib])) {
-      r = ra[ia];
-    } else {
-      r = rb[ib];
+  for (int64_t k = 0; k < a.num_chunks(); ++k) {
+    const std::vector<int64_t>& ra = a.chunk(k).exc_rows;
+    const std::vector<int64_t>& rb = b.chunk(k).exc_rows;
+    const int64_t base = Base(k);
+    size_t ia = 0;
+    size_t ib = 0;
+    int64_t begin = 0;
+    while (ia < ra.size() || ib < rb.size()) {
+      int64_t r;
+      if (ib >= rb.size() || (ia < ra.size() && ra[ia] <= rb[ib])) {
+        r = ra[ia];
+      } else {
+        r = rb[ib];
+      }
+      if (r > begin) packed(k, begin, r);
+      exc(base + r);
+      if (ia < ra.size() && ra[ia] == r) ++ia;
+      if (ib < rb.size() && rb[ib] == r) ++ib;
+      begin = r + 1;
     }
-    if (r > begin) packed(begin, r);
-    exc(r);
-    if (ia < ra.size() && ra[ia] == r) ++ia;
-    if (ib < rb.size() && rb[ib] == r) ++ib;
-    begin = r + 1;
+    const int64_t rows = a.chunk_rows(k);
+    if (begin < rows) packed(k, begin, rows);
   }
-  if (begin < a.size()) packed(begin, a.size());
 }
 
 inline void ZeroRun(uint8_t* mask, int64_t begin, int64_t end) {
@@ -181,18 +204,23 @@ inline void AndWordsConst(CompOp op, const int64_t* w, int64_t begin,
 
 void AndCompareColumnConst(CompOp op, const ColumnSegment& col,
                            const Value& rhs, uint8_t* mask) {
-  const int64_t n = col.size();
+  const auto exc = [&](int64_t row, const Value& v) {
+    mask[row] &= static_cast<uint8_t>(EvalCompOp(op, v, rhs));
+  };
+  const auto zero = [&](int64_t k, int64_t b, int64_t e) {
+    ZeroRun(mask + Base(k), b, e);
+  };
   switch (col.encoding()) {
     case ColumnSegment::Encoding::kInt64: {
-      const int64_t* w = col.words();
       if (rhs.type() == DataType::kInt64) {
         const int64_t r = rhs.AsInt();
         ForEachRun(
             col,
-            [&](int64_t b, int64_t e) { AndWordsConst(op, w, b, e, r, mask); },
-            [&](int64_t row, const Value& v) {
-              mask[row] &= static_cast<uint8_t>(EvalCompOp(op, v, rhs));
-            });
+            [&](int64_t k, int64_t b, int64_t e) {
+              AndWordsConst(op, col.chunk(k).words.data(), b, e, r,
+                            mask + Base(k));
+            },
+            exc);
         return;
       }
       if (rhs.type() == DataType::kDouble && !std::isnan(rhs.AsDouble())) {
@@ -200,42 +228,36 @@ void AndCompareColumnConst(CompOp op, const ColumnSegment& col,
         DispatchOp(op, [&](auto cmp) {
           ForEachRun(
               col,
-              [&](int64_t b, int64_t e) {
+              [&](int64_t k, int64_t b, int64_t e) {
+                const int64_t* w = col.chunk(k).words.data();
+                uint8_t* m = mask + Base(k);
                 for (int64_t i = b; i < e; ++i) {
-                  mask[i] &=
-                      static_cast<uint8_t>(cmp(static_cast<double>(w[i]), r));
+                  m[i] &= static_cast<uint8_t>(cmp(static_cast<double>(w[i]), r));
                 }
               },
-              [&](int64_t row, const Value& v) {
-                mask[row] &= static_cast<uint8_t>(EvalCompOp(op, v, rhs));
-              });
+              exc);
         });
         return;
       }
       // NULL, NaN, or a string rhs: false against every packed int row.
-      ForEachRun(
-          col, [&](int64_t b, int64_t e) { ZeroRun(mask, b, e); },
-          [&](int64_t row, const Value& v) {
-            mask[row] &= static_cast<uint8_t>(EvalCompOp(op, v, rhs));
-          });
+      ForEachRun(col, zero, exc);
       return;
     }
     case ColumnSegment::Encoding::kString: {
-      const int64_t* w = col.words();
       if (rhs.type() == DataType::kString) {
         if (rhs.string_pool_index() == col.pool() && StringEqualityOp(op)) {
           const int64_t r = ColumnSegment::StringWord(rhs);
           DispatchOp(op, [&](auto cmp) {
             ForEachRun(
                 col,
-                [&](int64_t b, int64_t e) {
+                [&](int64_t k, int64_t b, int64_t e) {
+                  const int64_t* w = col.chunk(k).words.data();
+                  uint8_t* m = mask + Base(k);
                   for (int64_t i = b; i < e; ++i) {
-                    mask[i] &= static_cast<uint8_t>(cmp(w[i], r));
+                    m[i] &= static_cast<uint8_t>(cmp(w[i], r));
                   }
                 },
-                [&](int64_t row, const Value& v) {
-                  mask[row] &= static_cast<uint8_t>(EvalCompOp(op, v, rhs));
-                });
+                exc);
           });
           return;
         }
@@ -244,33 +266,31 @@ void AndCompareColumnConst(CompOp op, const ColumnSegment& col,
         const uint32_t pool = col.pool();
         ForEachRun(
             col,
-            [&](int64_t b, int64_t e) {
+            [&](int64_t k, int64_t b, int64_t e) {
+              const int64_t* w = col.chunk(k).words.data();
+              uint8_t* m = mask + Base(k);
               for (int64_t i = b; i < e; ++i) {
-                mask[i] &= static_cast<uint8_t>(
+                m[i] &= static_cast<uint8_t>(
                     EvalCompOp(op, UnpackStringWord(w[i], pool), rhs));
               }
             },
-            [&](int64_t row, const Value& v) {
-              mask[row] &= static_cast<uint8_t>(EvalCompOp(op, v, rhs));
-            });
+            exc);
         return;
       }
       // Numeric or NULL rhs: false against every packed string row.
-      ForEachRun(
-          col, [&](int64_t b, int64_t e) { ZeroRun(mask, b, e); },
-          [&](int64_t row, const Value& v) {
-            mask[row] &= static_cast<uint8_t>(EvalCompOp(op, v, rhs));
-          });
+      ForEachRun(col, zero, exc);
       return;
     }
     case ColumnSegment::Encoding::kTagged: {
-      const Value* col_v = col.tagged();
       if (col.tagged_all_int64() && rhs.type() == DataType::kInt64) {
         const int64_t r = rhs.AsInt();
         DispatchOp(op, [&](auto cmp) {
-          for (int64_t i = 0; i < n; ++i) {
-            mask[i] &= static_cast<uint8_t>(cmp(col_v[i].AsInt(), r));
-          }
+          ForEachTaggedChunk(col, [&](const Value* v, int64_t base, int64_t n) {
+            uint8_t* m = mask + base;
+            for (int64_t i = 0; i < n; ++i) {
+              m[i] &= static_cast<uint8_t>(cmp(v[i].AsInt(), r));
+            }
+          });
         });
         return;
       }
@@ -278,16 +298,22 @@ void AndCompareColumnConst(CompOp op, const ColumnSegment& col,
           !std::isnan(rhs.AsDouble())) {
         const double r = rhs.AsDouble();
         DispatchOp(op, [&](auto cmp) {
-          for (int64_t i = 0; i < n; ++i) {
-            mask[i] &= static_cast<uint8_t>(
-                cmp(static_cast<double>(col_v[i].AsInt()), r));
-          }
+          ForEachTaggedChunk(col, [&](const Value* v, int64_t base, int64_t n) {
+            uint8_t* m = mask + base;
+            for (int64_t i = 0; i < n; ++i) {
+              m[i] &= static_cast<uint8_t>(
+                  cmp(static_cast<double>(v[i].AsInt()), r));
+            }
+          });
         });
         return;
       }
-      for (int64_t i = 0; i < n; ++i) {
-        mask[i] &= static_cast<uint8_t>(EvalCompOp(op, col_v[i], rhs));
-      }
+      ForEachTaggedChunk(col, [&](const Value* v, int64_t base, int64_t n) {
+        uint8_t* m = mask + base;
+        for (int64_t i = 0; i < n; ++i) {
+          m[i] &= static_cast<uint8_t>(EvalCompOp(op, v[i], rhs));
+        }
+      });
       return;
     }
   }
@@ -300,33 +326,22 @@ void AndCompareColumns(CompOp op, const ColumnSegment& lhs,
     mask[row] &= static_cast<uint8_t>(
         EvalCompOp(op, lhs.ValueAt(row), rhs.ValueAt(row)));
   };
-  if (lhs.encoding() == ColumnSegment::Encoding::kInt64 &&
-      rhs.encoding() == ColumnSegment::Encoding::kInt64) {
-    const int64_t* lw = lhs.words();
-    const int64_t* rw = rhs.words();
+  const bool both_words =
+      (lhs.encoding() == ColumnSegment::Encoding::kInt64 &&
+       rhs.encoding() == ColumnSegment::Encoding::kInt64) ||
+      (lhs.encoding() == ColumnSegment::Encoding::kString &&
+       rhs.encoding() == ColumnSegment::Encoding::kString &&
+       lhs.pool() == rhs.pool() && StringEqualityOp(op));
+  if (both_words) {
     DispatchOp(op, [&](auto cmp) {
       ForEachRun2(
           lhs, rhs,
-          [&](int64_t b, int64_t e) {
+          [&](int64_t k, int64_t b, int64_t e) {
+            const int64_t* lw = lhs.chunk(k).words.data();
+            const int64_t* rw = rhs.chunk(k).words.data();
+            uint8_t* m = mask + Base(k);
             for (int64_t i = b; i < e; ++i) {
-              mask[i] &= static_cast<uint8_t>(cmp(lw[i], rw[i]));
-            }
-          },
-          generic_row);
-    });
-    return;
-  }
-  if (lhs.encoding() == ColumnSegment::Encoding::kString &&
-      rhs.encoding() == ColumnSegment::Encoding::kString &&
-      lhs.pool() == rhs.pool() && StringEqualityOp(op)) {
-    const int64_t* lw = lhs.words();
-    const int64_t* rw = rhs.words();
-    DispatchOp(op, [&](auto cmp) {
-      ForEachRun2(
-          lhs, rhs,
-          [&](int64_t b, int64_t e) {
-            for (int64_t i = b; i < e; ++i) {
-              mask[i] &= static_cast<uint8_t>(cmp(lw[i], rw[i]));
+              m[i] &= static_cast<uint8_t>(cmp(lw[i], rw[i]));
             }
           },
           generic_row);
@@ -337,20 +352,22 @@ void AndCompareColumns(CompOp op, const ColumnSegment& lhs,
     // Packed int vs packed string rows are never comparable; only the
     // sidecar rows can hold cross-type surprises.
     ForEachRun2(
-        lhs, rhs, [&](int64_t b, int64_t e) { ZeroRun(mask, b, e); },
+        lhs, rhs,
+        [&](int64_t k, int64_t b, int64_t e) { ZeroRun(mask + Base(k), b, e); },
         generic_row);
     return;
   }
   if (lhs.encoding() == ColumnSegment::Encoding::kInt64 &&
       rhs.tagged_all_int64()) {
-    const int64_t* lw = lhs.words();
-    const Value* rv = rhs.tagged();
     DispatchOp(op, [&](auto cmp) {
       ForEachRun(
           lhs,
-          [&](int64_t b, int64_t e) {
+          [&](int64_t k, int64_t b, int64_t e) {
+            const int64_t* lw = lhs.chunk(k).words.data();
+            const Value* rv = rhs.chunk(k).tagged.data();
+            uint8_t* m = mask + Base(k);
             for (int64_t i = b; i < e; ++i) {
-              mask[i] &= static_cast<uint8_t>(cmp(lw[i], rv[i].AsInt()));
+              m[i] &= static_cast<uint8_t>(cmp(lw[i], rv[i].AsInt()));
             }
           },
           [&](int64_t row, const Value&) { generic_row(row); });
@@ -359,37 +376,40 @@ void AndCompareColumns(CompOp op, const ColumnSegment& lhs,
   }
   if (rhs.encoding() == ColumnSegment::Encoding::kInt64 &&
       lhs.tagged_all_int64()) {
-    const Value* lv = lhs.tagged();
-    const int64_t* rw = rhs.words();
     DispatchOp(op, [&](auto cmp) {
       ForEachRun(
           rhs,
-          [&](int64_t b, int64_t e) {
+          [&](int64_t k, int64_t b, int64_t e) {
+            const Value* lv = lhs.chunk(k).tagged.data();
+            const int64_t* rw = rhs.chunk(k).words.data();
+            uint8_t* m = mask + Base(k);
             for (int64_t i = b; i < e; ++i) {
-              mask[i] &= static_cast<uint8_t>(cmp(lv[i].AsInt(), rw[i]));
+              m[i] &= static_cast<uint8_t>(cmp(lv[i].AsInt(), rw[i]));
             }
           },
           [&](int64_t row, const Value&) { generic_row(row); });
     });
     return;
   }
-  if (lhs.tagged_all_int64() && rhs.tagged_all_int64()) {
-    const Value* lv = lhs.tagged();
-    const Value* rv = rhs.tagged();
-    DispatchOp(op, [&](auto cmp) {
-      for (int64_t i = 0; i < n; ++i) {
-        mask[i] &= static_cast<uint8_t>(cmp(lv[i].AsInt(), rv[i].AsInt()));
-      }
-    });
-    return;
-  }
   if (lhs.encoding() == ColumnSegment::Encoding::kTagged &&
       rhs.encoding() == ColumnSegment::Encoding::kTagged) {
-    const Value* lv = lhs.tagged();
-    const Value* rv = rhs.tagged();
-    for (int64_t i = 0; i < n; ++i) {
-      mask[i] &= static_cast<uint8_t>(EvalCompOp(op, lv[i], rv[i]));
-    }
+    const bool all_int = lhs.tagged_all_int64() && rhs.tagged_all_int64();
+    ForEachTaggedChunk(lhs, [&](const Value* lv, int64_t base, int64_t len) {
+      const Value* rv =
+          rhs.chunk(base >> ColumnSegment::kChunkShift).tagged.data();
+      uint8_t* m = mask + base;
+      if (all_int) {
+        DispatchOp(op, [&](auto cmp) {
+          for (int64_t i = 0; i < len; ++i) {
+            m[i] &= static_cast<uint8_t>(cmp(lv[i].AsInt(), rv[i].AsInt()));
+          }
+        });
+        return;
+      }
+      for (int64_t i = 0; i < len; ++i) {
+        m[i] &= static_cast<uint8_t>(EvalCompOp(op, lv[i], rv[i]));
+      }
+    });
     return;
   }
   for (int64_t i = 0; i < n; ++i) generic_row(i);
@@ -400,28 +420,16 @@ void AndCompareGather(CompOp op, const ColumnSegment& lcol,
                       const int64_t* rrows, const Value* rhs_const, int64_t n,
                       uint8_t* mask) {
   if (rcol != nullptr) {
-    const bool both_int =
-        lcol.encoding() == ColumnSegment::Encoding::kInt64 &&
-        rcol->encoding() == ColumnSegment::Encoding::kInt64 &&
-        !lcol.has_exceptions() && !rcol->has_exceptions();
-    if (both_int) {
-      const int64_t* lw = lcol.words();
-      const int64_t* rw = rcol->words();
-      DispatchOp(op, [&](auto cmp) {
-        for (int64_t i = 0; i < n; ++i) {
-          mask[i] &= static_cast<uint8_t>(cmp(lw[lrows[i]], rw[rrows[i]]));
-        }
-      });
-      return;
-    }
-    const bool both_same_pool_strings =
-        lcol.encoding() == ColumnSegment::Encoding::kString &&
-        rcol->encoding() == ColumnSegment::Encoding::kString &&
-        lcol.pool() == rcol->pool() && !lcol.has_exceptions() &&
-        !rcol->has_exceptions() && StringEqualityOp(op);
-    if (both_same_pool_strings) {
-      const int64_t* lw = lcol.words();
-      const int64_t* rw = rcol->words();
+    const bool both_words =
+        !lcol.has_exceptions() && !rcol->has_exceptions() &&
+        ((lcol.encoding() == ColumnSegment::Encoding::kInt64 &&
+          rcol->encoding() == ColumnSegment::Encoding::kInt64) ||
+         (lcol.encoding() == ColumnSegment::Encoding::kString &&
+          rcol->encoding() == ColumnSegment::Encoding::kString &&
+          lcol.pool() == rcol->pool() && StringEqualityOp(op)));
+    if (both_words) {
+      const auto lw = lcol.Words();
+      const auto rw = rcol->Words();
       DispatchOp(op, [&](auto cmp) {
         for (int64_t i = 0; i < n; ++i) {
           mask[i] &= static_cast<uint8_t>(cmp(lw[lrows[i]], rw[rrows[i]]));
@@ -430,8 +438,8 @@ void AndCompareGather(CompOp op, const ColumnSegment& lcol,
       return;
     }
     if (lcol.tagged_all_int64() && rcol->tagged_all_int64()) {
-      const Value* lv = lcol.tagged();
-      const Value* rv = rcol->tagged();
+      const auto lv = lcol.Tagged();
+      const auto rv = rcol->Tagged();
       DispatchOp(op, [&](auto cmp) {
         for (int64_t i = 0; i < n; ++i) {
           mask[i] &= static_cast<uint8_t>(
@@ -446,22 +454,19 @@ void AndCompareGather(CompOp op, const ColumnSegment& lcol,
     }
     return;
   }
-  if (lcol.encoding() == ColumnSegment::Encoding::kInt64 &&
-      !lcol.has_exceptions() && rhs_const->type() == DataType::kInt64) {
-    const int64_t* w = lcol.words();
-    const int64_t r = rhs_const->AsInt();
-    DispatchOp(op, [&](auto cmp) {
-      for (int64_t i = 0; i < n; ++i) {
-        mask[i] &= static_cast<uint8_t>(cmp(w[lrows[i]], r));
-      }
-    });
-    return;
-  }
-  if (lcol.encoding() == ColumnSegment::Encoding::kString &&
-      !lcol.has_exceptions() && rhs_const->type() == DataType::kString &&
-      rhs_const->string_pool_index() == lcol.pool() && StringEqualityOp(op)) {
-    const int64_t* w = lcol.words();
-    const int64_t r = ColumnSegment::StringWord(*rhs_const);
+  const bool word_const =
+      !lcol.has_exceptions() &&
+      ((lcol.encoding() == ColumnSegment::Encoding::kInt64 &&
+        rhs_const->type() == DataType::kInt64) ||
+       (lcol.encoding() == ColumnSegment::Encoding::kString &&
+        rhs_const->type() == DataType::kString &&
+        rhs_const->string_pool_index() == lcol.pool() &&
+        StringEqualityOp(op)));
+  if (word_const) {
+    const auto w = lcol.Words();
+    const int64_t r = lcol.encoding() == ColumnSegment::Encoding::kInt64
+                          ? rhs_const->AsInt()
+                          : ColumnSegment::StringWord(*rhs_const);
     DispatchOp(op, [&](auto cmp) {
       for (int64_t i = 0; i < n; ++i) {
         mask[i] &= static_cast<uint8_t>(cmp(w[lrows[i]], r));
@@ -470,7 +475,7 @@ void AndCompareGather(CompOp op, const ColumnSegment& lcol,
     return;
   }
   if (lcol.tagged_all_int64() && rhs_const->type() == DataType::kInt64) {
-    const Value* lv = lcol.tagged();
+    const auto lv = lcol.Tagged();
     const int64_t r = rhs_const->AsInt();
     DispatchOp(op, [&](auto cmp) {
       for (int64_t i = 0; i < n; ++i) {
@@ -491,35 +496,37 @@ namespace {
 // row's value hash in one pass, packed rows without Value materialization.
 template <typename StoreFn>
 inline void ForEachRowHash(const ColumnSegment& col, StoreFn&& store) {
+  const auto exc = [&](int64_t row, const Value& v) { store(row, v.Hash()); };
   switch (col.encoding()) {
-    case ColumnSegment::Encoding::kInt64: {
-      const int64_t* w = col.words();
+    case ColumnSegment::Encoding::kInt64:
       ForEachRun(
           col,
-          [&](int64_t b, int64_t e) {
+          [&](int64_t k, int64_t b, int64_t e) {
+            const int64_t* w = col.chunk(k).words.data();
+            const int64_t base = Base(k);
             for (int64_t i = b; i < e; ++i) {
-              store(i, value_hash::HashInt64(w[i]));
+              store(base + i, value_hash::HashInt64(w[i]));
             }
           },
-          [&](int64_t row, const Value& v) { store(row, v.Hash()); });
+          exc);
       return;
-    }
-    case ColumnSegment::Encoding::kString: {
-      const int64_t* w = col.words();
+    case ColumnSegment::Encoding::kString:
       ForEachRun(
           col,
-          [&](int64_t b, int64_t e) {
-            for (int64_t i = b; i < e; ++i) store(i, HashStringWord(w[i]));
+          [&](int64_t k, int64_t b, int64_t e) {
+            const int64_t* w = col.chunk(k).words.data();
+            const int64_t base = Base(k);
+            for (int64_t i = b; i < e; ++i) {
+              store(base + i, HashStringWord(w[i]));
+            }
           },
-          [&](int64_t row, const Value& v) { store(row, v.Hash()); });
+          exc);
       return;
-    }
-    case ColumnSegment::Encoding::kTagged: {
-      const Value* tv = col.tagged();
-      const int64_t n = col.size();
-      for (int64_t i = 0; i < n; ++i) store(i, tv[i].Hash());
+    case ColumnSegment::Encoding::kTagged:
+      ForEachTaggedChunk(col, [&](const Value* v, int64_t base, int64_t n) {
+        for (int64_t i = 0; i < n; ++i) store(base + i, v[i].Hash());
+      });
       return;
-    }
   }
 }
 
@@ -540,7 +547,7 @@ void MixHashColumnGather(const ColumnSegment& col, const int64_t* rows,
   switch (col.encoding()) {
     case ColumnSegment::Encoding::kInt64:
       if (!col.has_exceptions()) {
-        const int64_t* w = col.words();
+        const auto w = col.Words();
         for (int64_t i = 0; i < n; ++i) {
           acc[i] = (acc[i] ^ value_hash::HashInt64(w[rows[i]])) *
                    kTupleHashPrime;
@@ -550,7 +557,7 @@ void MixHashColumnGather(const ColumnSegment& col, const int64_t* rows,
       break;
     case ColumnSegment::Encoding::kString:
       if (!col.has_exceptions()) {
-        const int64_t* w = col.words();
+        const auto w = col.Words();
         for (int64_t i = 0; i < n; ++i) {
           acc[i] = (acc[i] ^ HashStringWord(w[rows[i]])) * kTupleHashPrime;
         }
@@ -558,7 +565,7 @@ void MixHashColumnGather(const ColumnSegment& col, const int64_t* rows,
       }
       break;
     case ColumnSegment::Encoding::kTagged: {
-      const Value* tv = col.tagged();
+      const auto tv = col.Tagged();
       for (int64_t i = 0; i < n; ++i) {
         acc[i] = (acc[i] ^ tv[rows[i]].Hash()) * kTupleHashPrime;
       }

@@ -16,9 +16,13 @@
 //     equal strings within one pool).
 //   * kTagged tag-uniform INT64: the legacy branch-free loop over Values.
 //
+// Segments are chunked (kChunkRows rows per chunk); the kernels walk the
+// chunks, and chunk boundaries end packed runs just as exception rows do.
 // Exception sidecars are handled by iterating the maximal packed runs
 // between the (sorted) exception rows branch-free and evaluating the few
-// exception rows through EvalCompOp / Value::Hash.  Exception rows are
+// exception rows through EvalCompOp / Value::Hash.  Gathers resolve a row
+// to its chunk through ColumnSegment::Words() / Tagged() (a shift and a
+// mask per row).  Exception rows are
 // NEVER speculatively compared as words and patched afterwards: the mask
 // AND-fold is destructive, so a wrong 0 could not be recovered.
 //
@@ -62,7 +66,7 @@ void HashColumn(const ColumnSegment& col, size_t* out);
 /// One FNV-1a step per row with the value's hash: acc[i] = (acc[i] ^
 /// col[i].Hash()) * kTupleHashPrime.  Seeding acc with kTupleHashBasis
 /// (storage/tuple.h) and running every column left to right reproduces
-/// Tuple::Hash exactly, one contiguous column scan at a time.
+/// Tuple::Hash exactly, one column scan at a time.
 void MixHashColumn(const ColumnSegment& col, size_t* acc);
 
 /// Gathered variant for the executor's fused-distinct projection:

@@ -1,26 +1,21 @@
 #include "storage/column_segment.h"
 
+#include <iterator>
 #include <utility>
 
 namespace eve {
 
 namespace {
 
-/// Removes the (sorted, unique, in-range) positions in `doomed` from `v`
-/// in one stable pass.
+/// Grows `v` to hold at least `want` elements, doubling (capped at one
+/// chunk) so a run of single-row appends reallocates O(log kChunkRows)
+/// times.
 template <typename T>
-void CompactVector(std::vector<T>& v, const std::vector<int64_t>& doomed) {
-  size_t di = 0;
-  size_t out = 0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (di < doomed.size() && static_cast<int64_t>(i) == doomed[di]) {
-      ++di;
-      continue;
-    }
-    if (out != i) v[out] = std::move(v[i]);
-    ++out;
-  }
-  v.resize(out);
+void GrowTo(std::vector<T>& v, int64_t want) {
+  if (static_cast<int64_t>(v.capacity()) >= want) return;
+  v.reserve(static_cast<size_t>(std::min(
+      ColumnSegment::kChunkRows,
+      std::max(want, 2 * static_cast<int64_t>(v.capacity())))));
 }
 
 }  // namespace
@@ -52,38 +47,35 @@ ColumnSegment ColumnSegment::FromValues(std::vector<Value> values) {
   const int64_t max_exc = MaxExceptions(n);
   if (ints > 0 && ints >= strs && n - ints <= max_exc) {
     seg.enc_ = Encoding::kInt64;
-    seg.words_.reserve(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
-      const Value& v = values[static_cast<size_t>(i)];
-      if (v.type() == DataType::kInt64) {
-        seg.words_.push_back(v.AsInt());
-      } else {
-        seg.exc_rows_.push_back(i);
-        seg.exc_vals_.push_back(v);
-        seg.words_.push_back(0);
-      }
-    }
-    seg.size_ = n;
-    return seg;
-  }
-  if (pool_set && n - strs <= max_exc) {
+  } else if (pool_set && n - strs <= max_exc) {
     seg.enc_ = Encoding::kString;
     seg.pool_ = pool;
-    seg.words_.reserve(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) {
+  } else {
+    return TaggedFromValues(std::move(values));
+  }
+  for (int64_t b = 0; b < n; b += kChunkRows) {
+    const int64_t e = std::min(n, b + kChunkRows);
+    auto c = std::make_shared<Chunk>();
+    c->words.reserve(static_cast<size_t>(e - b));
+    for (int64_t i = b; i < e; ++i) {
       const Value& v = values[static_cast<size_t>(i)];
-      if (v.type() == DataType::kString && v.string_pool_index() == pool) {
-        seg.words_.push_back(StringWord(v));
+      if (seg.enc_ == Encoding::kInt64 && v.type() == DataType::kInt64) {
+        c->words.push_back(v.AsInt());
+      } else if (seg.enc_ == Encoding::kString &&
+                 v.type() == DataType::kString &&
+                 v.string_pool_index() == pool) {
+        c->words.push_back(StringWord(v));
       } else {
-        seg.exc_rows_.push_back(i);
-        seg.exc_vals_.push_back(v);
-        seg.words_.push_back(0);
+        c->exc_rows.push_back(i - b);
+        c->exc_vals.push_back(v);
+        c->words.push_back(0);
+        ++seg.exc_count_;
       }
     }
-    seg.size_ = n;
-    return seg;
+    seg.chunks_.push_back(std::move(c));
   }
-  return TaggedFromValues(std::move(values));
+  seg.size_ = n;
+  return seg;
 }
 
 ColumnSegment ColumnSegment::TaggedFromValues(std::vector<Value> values) {
@@ -96,40 +88,102 @@ ColumnSegment ColumnSegment::TaggedFromValues(std::vector<Value> values) {
       break;
     }
   }
-  seg.size_ = static_cast<int64_t>(values.size());
-  seg.tagged_ = std::move(values);
+  const int64_t n = static_cast<int64_t>(values.size());
+  for (int64_t b = 0; b < n; b += kChunkRows) {
+    const int64_t e = std::min(n, b + kChunkRows);
+    auto c = std::make_shared<Chunk>();
+    c->tagged.assign(values.begin() + b, values.begin() + e);
+    seg.chunks_.push_back(std::move(c));
+  }
+  seg.size_ = n;
   return seg;
 }
 
-void ColumnSegment::InitFrom(const Value& v) {
+ColumnSegment::Rows<int64_t> ColumnSegment::Words() const {
+  Rows<int64_t> out;
+  out.ptrs_.reserve(chunks_.size());
+  for (const auto& c : chunks_) out.ptrs_.push_back(c->words.data());
+  return out;
+}
+
+ColumnSegment::Rows<Value> ColumnSegment::Tagged() const {
+  Rows<Value> out;
+  out.ptrs_.reserve(chunks_.size());
+  for (const auto& c : chunks_) out.ptrs_.push_back(c->tagged.data());
+  return out;
+}
+
+std::vector<int64_t> ColumnSegment::exception_rows() const {
+  std::vector<int64_t> out;
+  out.reserve(static_cast<size_t>(exc_count_));
+  for (size_t k = 0; k < chunks_.size(); ++k) {
+    const int64_t base = static_cast<int64_t>(k) << kChunkShift;
+    for (const int64_t r : chunks_[k]->exc_rows) out.push_back(base + r);
+  }
+  return out;
+}
+
+ColumnSegment::Chunk& ColumnSegment::AppendTarget(int64_t expect) {
+  const int64_t local = size_ & kChunkMask;
+  const int64_t want = std::min(kChunkRows, local + std::max<int64_t>(expect, 1));
+  if (local == 0) {
+    // Chunk boundary (or empty segment): start a fresh chunk.
+    auto c = std::make_shared<Chunk>();
+    if (enc_ == Encoding::kTagged) {
+      c->tagged.reserve(static_cast<size_t>(want));
+    } else {
+      c->words.reserve(static_cast<size_t>(want));
+    }
+    chunks_.push_back(std::move(c));
+    return *chunks_.back();
+  }
+  std::shared_ptr<Chunk>& tail = chunks_.back();
+  if (tail.use_count() > 1) {
+    // Shared with a copy or a snapshot: clone the tail alone, straight into
+    // geometric capacity so the append after it does not reallocate again.
+    auto c = std::make_shared<Chunk>();
+    const size_t cap =
+        static_cast<size_t>(std::min(kChunkRows, std::max(want, 2 * local)));
+    if (enc_ == Encoding::kTagged) {
+      c->tagged.reserve(cap);
+      c->tagged.assign(tail->tagged.begin(), tail->tagged.end());
+    } else {
+      c->words.reserve(cap);
+      c->words.assign(tail->words.begin(), tail->words.end());
+      c->exc_rows = tail->exc_rows;
+      c->exc_vals = tail->exc_vals;
+    }
+    tail = std::move(c);
+  } else if (enc_ == Encoding::kTagged) {
+    GrowTo(tail->tagged, want);
+  } else {
+    GrowTo(tail->words, want);
+  }
+  return *tail;
+}
+
+void ColumnSegment::InitEncoding(const Value& v) {
   switch (v.type()) {
     case DataType::kInt64:
       enc_ = Encoding::kInt64;
-      words_.push_back(v.AsInt());
       break;
     case DataType::kString:
       enc_ = Encoding::kString;
       pool_ = v.string_pool_index();
-      words_.push_back(StringWord(v));
       break;
     default:
       enc_ = Encoding::kTagged;
       tagged_all_int64_ = false;
-      tagged_.push_back(v);
       break;
   }
-  size_ = 1;
 }
 
 void ColumnSegment::Append(const Value& v) {
-  if (pristine()) {
-    InitFrom(v);
-    return;
-  }
+  if (pristine()) InitEncoding(v);
   switch (enc_) {
     case Encoding::kInt64:
       if (v.type() == DataType::kInt64) {
-        words_.push_back(v.AsInt());
+        AppendTarget(1).words.push_back(v.AsInt());
         ++size_;
         return;
       }
@@ -137,14 +191,14 @@ void ColumnSegment::Append(const Value& v) {
       return;
     case Encoding::kString:
       if (v.type() == DataType::kString && v.string_pool_index() == pool_) {
-        words_.push_back(StringWord(v));
+        AppendTarget(1).words.push_back(StringWord(v));
         ++size_;
         return;
       }
       AppendException(v);
       return;
     case Encoding::kTagged:
-      tagged_.push_back(v);
+      AppendTarget(1).tagged.push_back(v);
       tagged_all_int64_ =
           tagged_all_int64_ && v.type() == DataType::kInt64;
       ++size_;
@@ -153,26 +207,32 @@ void ColumnSegment::Append(const Value& v) {
 }
 
 void ColumnSegment::AppendException(const Value& v) {
-  if (static_cast<int64_t>(exc_rows_.size()) + 1 > MaxExceptions(size_ + 1)) {
+  if (exc_count_ + 1 > MaxExceptions(size_ + 1)) {
     Demote();
     Append(v);
     return;
   }
-  exc_rows_.push_back(size_);
-  exc_vals_.push_back(v);
-  words_.push_back(0);
+  Chunk& c = AppendTarget(1);
+  c.exc_rows.push_back(size_ & kChunkMask);
+  c.exc_vals.push_back(v);
+  c.words.push_back(0);
+  ++exc_count_;
   ++size_;
 }
 
 void ColumnSegment::Demote() {
-  std::vector<Value> t;
-  t.reserve(static_cast<size_t>(size_));
-  for (int64_t i = 0; i < size_; ++i) t.push_back(ValueAt(i));
-  tagged_ = std::move(t);
-  words_.clear();
-  words_.shrink_to_fit();
-  exc_rows_.clear();
-  exc_vals_.clear();
+  std::vector<std::shared_ptr<Chunk>> tagged;
+  tagged.reserve(chunks_.size());
+  for (int64_t k = 0; k < num_chunks(); ++k) {
+    auto c = std::make_shared<Chunk>();
+    const int64_t base = k << kChunkShift;
+    const int64_t n = chunk_rows(k);
+    c->tagged.reserve(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) c->tagged.push_back(ValueAt(base + i));
+    tagged.push_back(std::move(c));
+  }
+  chunks_ = std::move(tagged);
+  exc_count_ = 0;
   enc_ = Encoding::kTagged;
   tagged_all_int64_ = false;
   pool_ = 0;
@@ -189,25 +249,35 @@ void ColumnSegment::AppendGathered(const ColumnSegment& src,
                                    const int64_t* rows, size_t n) {
   if (n == 0) return;
   if (pristine()) AdoptEncodingOf(src);
-  if (enc_ == Encoding::kTagged && src.enc_ == Encoding::kTagged) {
-    tagged_.reserve(tagged_.size() + n);
-    const Value* tv = src.tagged_.data();
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = tv[rows[i]];
-      tagged_.push_back(v);
-      tagged_all_int64_ =
-          tagged_all_int64_ && v.type() == DataType::kInt64;
+  // Fills whole chunk-sized stretches at a time: push(chunk, i) appends
+  // gathered row i to the (unshared) tail chunk.
+  const auto bulk = [&](auto&& push) {
+    size_t i = 0;
+    while (i < n) {
+      Chunk& t = AppendTarget(static_cast<int64_t>(n - i));
+      const size_t m = std::min(
+          n - i, static_cast<size_t>(kChunkRows - (size_ & kChunkMask)));
+      for (size_t j = i; j < i + m; ++j) push(t, j);
+      size_ += static_cast<int64_t>(m);
+      i += m;
     }
-    size_ += static_cast<int64_t>(n);
+  };
+  if (enc_ == Encoding::kTagged && src.enc_ == Encoding::kTagged) {
+    const Rows<Value> tv = src.Tagged();
+    bool all_int = tagged_all_int64_;
+    bulk([&](Chunk& t, size_t i) {
+      const Value& v = tv[rows[i]];
+      t.tagged.push_back(v);
+      all_int = all_int && v.type() == DataType::kInt64;
+    });
+    tagged_all_int64_ = all_int;
     return;
   }
   if (enc_ == src.enc_ && packed() &&
       (enc_ != Encoding::kString || pool_ == src.pool_)) {
+    const Rows<int64_t> w = src.Words();
     if (!src.has_exceptions()) {
-      const int64_t* w = src.words();
-      words_.reserve(words_.size() + n);
-      for (size_t i = 0; i < n; ++i) words_.push_back(w[rows[i]]);
-      size_ += static_cast<int64_t>(n);
+      bulk([&](Chunk& t, size_t i) { t.words.push_back(w[rows[i]]); });
       return;
     }
     for (size_t i = 0; i < n; ++i) {
@@ -219,7 +289,7 @@ void ColumnSegment::AppendGathered(const ColumnSegment& src,
       if (const Value* e = src.FindException(rows[i])) {
         Append(*e);
       } else {
-        words_.push_back(src.words()[rows[i]]);
+        AppendTarget(1).words.push_back(w[rows[i]]);
         ++size_;
       }
     }
@@ -230,31 +300,58 @@ void ColumnSegment::AppendGathered(const ColumnSegment& src,
 
 void ColumnSegment::EraseRows(const std::vector<int64_t>& doomed) {
   if (doomed.empty()) return;
-  if (enc_ == Encoding::kTagged) {
-    CompactVector(tagged_, doomed);
-    size_ -= static_cast<int64_t>(doomed.size());
-    // tagged_all_int64_ stays conservative, like the old per-column flag.
-    return;
+  // Chunks before the first victim's stay as they are (still shared with
+  // any copy); the rest are detached and their survivors re-appended into
+  // fresh chunks, which keeps every chunk but the last full.
+  const size_t k0 = static_cast<size_t>(doomed.front() >> kChunkShift);
+  std::vector<std::shared_ptr<Chunk>> old(
+      std::make_move_iterator(chunks_.begin() + static_cast<ptrdiff_t>(k0)),
+      std::make_move_iterator(chunks_.end()));
+  chunks_.resize(k0);
+  const int64_t old_size = size_;
+  size_ = static_cast<int64_t>(k0) << kChunkShift;
+  for (const auto& c : old) {
+    exc_count_ -= static_cast<int64_t>(c->exc_rows.size());
   }
-  if (!exc_rows_.empty()) {
-    std::vector<int64_t> new_rows;
-    std::vector<Value> new_vals;
-    new_rows.reserve(exc_rows_.size());
-    new_vals.reserve(exc_vals_.size());
-    size_t di = 0;
-    for (size_t k = 0; k < exc_rows_.size(); ++k) {
-      const int64_t r = exc_rows_[k];
-      while (di < doomed.size() && doomed[di] < r) ++di;
-      if (di < doomed.size() && doomed[di] == r) continue;  // Row dies.
-      // di doomed rows sit strictly below r; the survivor shifts by them.
-      new_rows.push_back(r - static_cast<int64_t>(di));
-      new_vals.push_back(exc_vals_[k]);
+  // Appends local rows [a, b) of `src`, splitting at destination chunk
+  // boundaries and remapping the sidecar rows it carries.
+  const auto copy_run = [&](const Chunk& src, int64_t a, int64_t b) {
+    while (a < b) {
+      Chunk& t = AppendTarget(b - a);
+      const int64_t at = size_ & kChunkMask;
+      const int64_t m = std::min(b - a, kChunkRows - at);
+      if (enc_ == Encoding::kTagged) {
+        t.tagged.insert(t.tagged.end(), src.tagged.begin() + a,
+                        src.tagged.begin() + a + m);
+      } else {
+        auto it =
+            std::lower_bound(src.exc_rows.begin(), src.exc_rows.end(), a);
+        for (; it != src.exc_rows.end() && *it < a + m; ++it) {
+          t.exc_rows.push_back(*it - a + at);
+          t.exc_vals.push_back(
+              src.exc_vals[static_cast<size_t>(it - src.exc_rows.begin())]);
+          ++exc_count_;
+        }
+        t.words.insert(t.words.end(), src.words.begin() + a,
+                       src.words.begin() + a + m);
+      }
+      size_ += m;
+      a += m;
     }
-    exc_rows_ = std::move(new_rows);
-    exc_vals_ = std::move(new_vals);
+  };
+  size_t di = 0;
+  for (size_t j = 0; j < old.size(); ++j) {
+    const int64_t base = static_cast<int64_t>(k0 + j) << kChunkShift;
+    const int64_t rows = std::min(kChunkRows, old_size - base);
+    int64_t a = 0;
+    while (di < doomed.size() && doomed[di] < base + rows) {
+      const int64_t r = doomed[di++] - base;
+      copy_run(*old[j], a, r);
+      a = r + 1;
+    }
+    copy_run(*old[j], a, rows);
   }
-  CompactVector(words_, doomed);
-  size_ -= static_cast<int64_t>(doomed.size());
+  // tagged_all_int64_ stays conservative, like the old per-column flag.
   if (size_ == 0) Clear();
 }
 
@@ -263,28 +360,18 @@ void ColumnSegment::Clear() {
   tagged_all_int64_ = false;
   pool_ = 0;
   size_ = 0;
-  words_.clear();
-  tagged_.clear();
-  exc_rows_.clear();
-  exc_vals_.clear();
-}
-
-void ColumnSegment::Reserve(int64_t n) {
-  if (enc_ == Encoding::kTagged) {
-    tagged_.reserve(static_cast<size_t>(n));
-  } else {
-    words_.reserve(static_cast<size_t>(n));
-  }
+  exc_count_ = 0;
+  chunks_.clear();
 }
 
 bool ColumnSegment::RowEqualsValue(int64_t row, const Value& v) const {
-  if (enc_ == Encoding::kTagged) {
-    return tagged_[static_cast<size_t>(row)] == v;
+  const Chunk& c = *chunks_[static_cast<size_t>(row >> kChunkShift)];
+  const size_t local = static_cast<size_t>(row & kChunkMask);
+  if (enc_ == Encoding::kTagged) return c.tagged[local] == v;
+  if (exc_count_ != 0) {
+    if (const Value* e = FindIn(c, local)) return *e == v;
   }
-  if (!exc_rows_.empty()) {
-    if (const Value* e = FindException(row)) return *e == v;
-  }
-  const int64_t w = words_[static_cast<size_t>(row)];
+  const int64_t w = c.words[local];
   if (enc_ == Encoding::kInt64) {
     if (v.type() == DataType::kInt64) return w == v.AsInt();
     return Value(w) == v;  // INT 3 == DOUBLE 3.0 and the like.
@@ -299,13 +386,11 @@ bool ColumnSegment::RowEqualsRow(int64_t row, const ColumnSegment& other,
                                  int64_t other_row) const {
   if (enc_ == other.enc_ && packed() &&
       (enc_ != Encoding::kString || pool_ == other.pool_)) {
-    const Value* e1 =
-        exc_rows_.empty() ? nullptr : FindException(row);
+    const Value* e1 = exc_count_ == 0 ? nullptr : FindException(row);
     const Value* e2 =
-        other.exc_rows_.empty() ? nullptr : other.FindException(other_row);
+        other.exc_count_ == 0 ? nullptr : other.FindException(other_row);
     if (e1 == nullptr && e2 == nullptr) {
-      return words_[static_cast<size_t>(row)] ==
-             other.words_[static_cast<size_t>(other_row)];
+      return WordAt(row) == other.WordAt(other_row);
     }
   }
   return ValueAt(row) == other.ValueAt(other_row);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -239,12 +240,31 @@ void Relation::AddTuple(Tuple t) {
 
 int64_t Relation::Erase(const Tuple& t, bool all_occurrences) {
   // Pass 1: collect the doomed rows in scan order (first match only unless
-  // `all_occurrences`).
+  // `all_occurrences`).  When t[0] is neither NULL nor NaN, kEqual on
+  // column 0 holds for every row equal to t there (INT 3 vs DOUBLE 3.0 and
+  // cross-pool strings included), so one kernel scan narrows the row-wise
+  // confirmation to its candidates.  NULL and NaN compare false under
+  // kEqual but equal under Value ==, so they keep the row-wise scan.
   std::vector<int64_t> doomed;
-  for (int64_t row = 0; row < rows_; ++row) {
-    if (!RowEqualsTuple(row, t)) continue;
+  const auto consider = [&](int64_t row) {
+    if (!RowEqualsTuple(row, t)) return true;
     doomed.push_back(row);
-    if (!all_occurrences) break;
+    return all_occurrences;
+  };
+  const bool prefilter =
+      rows_ > 0 && t.size() == width() && t.size() > 0 && !t.at(0).is_null() &&
+      !(t.at(0).type() == DataType::kDouble && std::isnan(t.at(0).AsDouble()));
+  if (prefilter) {
+    std::vector<uint8_t> candidate(static_cast<size_t>(rows_), 1);
+    AndCompareColumnConst(CompOp::kEqual, *columns_[0], t.at(0),
+                          candidate.data());
+    for (int64_t row = 0; row < rows_; ++row) {
+      if (candidate[static_cast<size_t>(row)] != 0 && !consider(row)) break;
+    }
+  } else {
+    for (int64_t row = 0; row < rows_; ++row) {
+      if (!consider(row)) break;
+    }
   }
   if (doomed.empty()) return 0;
   MarkMutated();
@@ -365,7 +385,7 @@ void Relation::WarmIndexes(const std::vector<int>& columns) const {
 std::vector<size_t> Relation::ComputeTupleHashes() const {
   // Column-wise FNV mixing: seeding with Tuple::Hash's offset basis and
   // folding the columns left to right makes hashes[i] == TupleAt(i).Hash(),
-  // with every pass a contiguous column scan (packed words hash without
+  // with every pass one column scan (packed words hash without
   // materializing Values).
   std::vector<size_t> hashes(static_cast<size_t>(rows_), kTupleHashBasis);
   for (const auto& col : columns_) {

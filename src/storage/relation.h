@@ -26,13 +26,18 @@
 // pre-build the indexes a prepared plan needs so parallel executions never
 // contend on first use.
 //
-// Segments are held by shared_ptr and copy-on-write: copies, projections,
-// and snapshots (serve/snapshot.h) share the immutable segment storage,
-// and a mutation clones only the segments some other owner still holds
-// (`MutCol`).  The use_count check is race-free under the single-writer
-// contract because new shares of a segment are only ever handed out by
-// the owning writer thread (snapshot capture, Relation copies); readers
-// hold refs obtained before the mutation began.
+// Segments are held by shared_ptr and copy-on-write at two levels:
+// copies, projections, and snapshots (serve/snapshot.h) share the segment
+// objects, and a segment copy shares its fixed-size row chunks
+// (storage/column_segment.h).  A mutation clones the segment header (its
+// chunk pointers) only when some other owner still holds it (`MutCol`),
+// and the segment then clones only the chunks the mutation touches -- the
+// tail chunk for an append, the chunks from the first victim onward for an
+// erase -- so a write after a snapshot costs O(chunk), not O(rows).  The
+// use_count checks are race-free under the single-writer contract because
+// new shares of a segment or chunk are only ever handed out by the owning
+// writer thread (snapshot capture, Relation copies); readers hold refs
+// obtained before the mutation began.
 //
 // Every relation carries a process-unique identity stamp (assigned at
 // construction and on copy/move, `identity()`) plus a cheap per-instance
@@ -242,7 +247,7 @@ class Relation {
   /// Sorted-by-tuple rendering for stable golden tests.
   std::string ToString(int64_t max_rows = 20) const;
 
-  /// Appends the `rows` of `src` (same arity) as one contiguous gather per
+  /// Appends the `rows` of `src` (same arity) as one gather per
   /// column (packed sources gather word-by-word); a single mutation stamp
   /// for the whole batch.
   void AppendGathered(const Relation& src, const std::vector<int64_t>& rows);
@@ -263,10 +268,12 @@ class Relation {
 
   void DropCaches();
 
-  /// Mutable access to column `c`, cloning first when the segment is
-  /// shared with a copy, projection, or snapshot (copy-on-write).  The
-  /// use_count probe is sound because shares are only handed out from the
-  /// writer thread (see the concurrency comment above).
+  /// Mutable access to column `c`, cloning the segment header first when
+  /// it is shared with a copy, projection, or snapshot.  The clone copies
+  /// chunk pointers only; the segment's own chunk-level copy-on-write then
+  /// clones just the chunks the mutation writes.  The use_count probe is
+  /// sound because shares are only handed out from the writer thread (see
+  /// the concurrency comment above).
   ColumnSegment& MutCol(size_t c) {
     std::shared_ptr<ColumnSegment>& col = columns_[c];
     if (col.use_count() > 1) col = std::make_shared<ColumnSegment>(*col);

@@ -1,8 +1,15 @@
 #include "vkb/view_knowledge_base.h"
 
+#include <atomic>
+
 #include "esql/printer.h"
 
 namespace eve {
+
+uint64_t ViewKnowledgeBase::NextVersion() {
+  static std::atomic<uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
 
 std::string_view ViewStateToString(ViewState state) {
   switch (state) {
@@ -25,6 +32,7 @@ Status ViewKnowledgeBase::Define(ViewDefinition definition) {
   ViewEntry entry;
   entry.definition = std::move(definition);
   views_.emplace(name, std::move(entry));
+  Touch();
   return Status::OK();
 }
 
@@ -32,6 +40,7 @@ Status ViewKnowledgeBase::Drop(const std::string& name) {
   if (views_.erase(name) == 0) {
     return Status::NotFound("view " + name + " not defined");
   }
+  Touch();
   return Status::OK();
 }
 
@@ -96,6 +105,7 @@ Status ViewKnowledgeBase::ReplaceDefinition(const std::string& name,
   entry->definition = std::move(new_def);
   entry->state = ViewState::kAlive;
   entry->materialized = false;  // Extent must be recomputed.
+  Touch();
   return Status::OK();
 }
 
@@ -107,6 +117,7 @@ Status ViewKnowledgeBase::MarkDead(const std::string& name,
   record.old_version = PrintViewCompact(entry->definition);
   entry->history.push_back(std::move(record));
   entry->state = ViewState::kDead;
+  Touch();
   return Status::OK();
 }
 

@@ -5,6 +5,7 @@
 #ifndef EVE_VKB_VIEW_KNOWLEDGE_BASE_H_
 #define EVE_VKB_VIEW_KNOWLEDGE_BASE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -54,7 +55,17 @@ class ViewKnowledgeBase {
   Status Drop(const std::string& name);
 
   Result<const ViewEntry*> Get(const std::string& name) const;
+  /// Mutable access for extent maintenance.  Definitions and states change
+  /// only through Define / Drop / ReplaceDefinition / MarkDead, which keep
+  /// version() current; callers must not edit them through this pointer.
   Result<ViewEntry*> GetMutable(const std::string& name);
+
+  /// Process-unique stamp of the registered definitions and states, fresh
+  /// after every Define, Drop, ReplaceDefinition and MarkDead; extent
+  /// maintenance (SetExtent, GetMutable) keeps it.  Equal stamps imply
+  /// identical alive view definitions, so snapshot capture shares the
+  /// previous epoch's definition map while the stamp holds.
+  uint64_t version() const { return version_; }
 
   bool Has(const std::string& name) const { return views_.count(name) > 0; }
 
@@ -79,7 +90,12 @@ class ViewKnowledgeBase {
   Status MarkDead(const std::string& name, const std::string& trigger);
 
  private:
+  /// Process-unique, never 0, so stamps of distinct registries differ.
+  static uint64_t NextVersion();
+  void Touch() { version_ = NextVersion(); }
+
   std::map<std::string, ViewEntry> views_;
+  uint64_t version_ = NextVersion();
 };
 
 }  // namespace eve

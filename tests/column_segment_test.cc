@@ -1,12 +1,16 @@
 // Typed packed column segments (storage/column_segment.h) and their
 // branch-free kernels (storage/column_kernel.h): promotion / demotion
 // round-trips (NULLs, NaN doubles, cross-pool strings), kernel equivalence
-// against the per-row EvalCompOp / Value::Hash golden, batched multi-tuple
-// erase vs repeated single Erase, and prepared-plan revalidation across a
-// promote -> mutate -> demote sequence.
+// against the per-row EvalCompOp / Value::Hash golden and the tagged
+// reference, the multi-chunk layout (boundaries, cross-chunk erase and
+// demotion, chunk-level copy-on-write), batched multi-tuple erase vs
+// repeated single Erase, the prefiltered single Erase vs a row-wise scan,
+// and prepared-plan revalidation across a promote -> mutate -> demote
+// sequence.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -426,6 +430,306 @@ TEST(ColumnKernel, RelationTupleHashesMatchRowHash) {
 }
 
 // ---------------------------------------------------------------------------
+// Multi-chunk layout: chunk boundaries at kChunkRows, exceptions and erase
+// victims on both sides of the first boundary, cross-chunk demotion, and
+// chunk-level copy-on-write.
+
+constexpr int64_t kChunk = ColumnSegment::kChunkRows;
+constexpr int64_t kChunkSizes[] = {kChunk - 1, kChunk, kChunk + 1,
+                                   3 * kChunk + 1};
+
+// Packed ints with a NULL at row kChunk-1, a NaN at row kChunk, a DOUBLE
+// 2.0 (numerically equal to packed 2s) and a cross-type string further in.
+std::vector<Value> ChunkedInts(int64_t n) {
+  std::vector<Value> v;
+  for (int64_t i = 0; i < n; ++i) v.push_back(Value(i % 7));
+  if (n > kChunk - 1) v[static_cast<size_t>(kChunk - 1)] = Value();
+  if (n > kChunk) v[static_cast<size_t>(kChunk)] = Value(kNaN);
+  if (n > 3) v[3] = Value(2.0);
+  if (n > 2 * kChunk + 5) v[static_cast<size_t>(2 * kChunk + 5)] = Value("s");
+  return v;
+}
+
+// Packed strings with cross-pool and NULL exceptions at the boundary.
+std::vector<Value> ChunkedStrings(int64_t n) {
+  std::vector<Value> v;
+  for (int64_t i = 0; i < n; ++i) v.push_back(Value("k" + std::to_string(i % 5)));
+  if (n > kChunk - 1) v[static_cast<size_t>(kChunk - 1)] = Value("k1", OtherPool());
+  if (n > kChunk) v[static_cast<size_t>(kChunk)] = Value();
+  return v;
+}
+
+// Genuinely mixed: tagged.
+std::vector<Value> ChunkedMixed(int64_t n) {
+  std::vector<Value> v;
+  for (int64_t i = 0; i < n; ++i) {
+    v.push_back(i % 2 == 0 ? Value(i % 9) : Value(static_cast<double>(i % 9)));
+  }
+  return v;
+}
+
+std::vector<std::vector<Value>> ChunkedCorpus(int64_t n) {
+  return {ChunkedInts(n), ChunkedStrings(n), ChunkedMixed(n)};
+}
+
+void ExpectChunkInvariants(const ColumnSegment& seg) {
+  const int64_t chunks = (seg.size() + kChunk - 1) / kChunk;
+  ASSERT_EQ(seg.num_chunks(), chunks);
+  for (int64_t k = 0; k < chunks; ++k) {
+    const int64_t rows = std::min(kChunk, seg.size() - k * kChunk);
+    EXPECT_EQ(seg.chunk_rows(k), rows) << "chunk " << k;
+    const ColumnSegment::Chunk& c = seg.chunk(k);
+    EXPECT_EQ(static_cast<int64_t>(seg.packed() ? c.words.size()
+                                                : c.tagged.size()),
+              rows)
+        << "chunk " << k;
+    for (const int64_t r : c.exc_rows) {
+      EXPECT_GE(r, 0);
+      EXPECT_LT(r, rows);
+    }
+  }
+}
+
+TEST(ColumnSegmentChunks, RoundTripsAcrossChunkBoundaries) {
+  for (const int64_t n : kChunkSizes) {
+    for (const std::vector<Value>& vals : ChunkedCorpus(n)) {
+      const ColumnSegment bulk = ColumnSegment::FromValues(vals);
+      ColumnSegment appended;
+      for (const Value& v : vals) appended.Append(v);
+      for (const ColumnSegment* seg : {&bulk, static_cast<const ColumnSegment*>(&appended)}) {
+        ExpectChunkInvariants(*seg);
+        ExpectRoundTrips(*seg, vals);
+      }
+      EXPECT_EQ(bulk.encoding(), appended.encoding()) << "n=" << n;
+      EXPECT_EQ(bulk.exception_rows(), appended.exception_rows());
+    }
+    const ColumnSegment ints = ColumnSegment::FromValues(ChunkedInts(n));
+    ASSERT_EQ(ints.encoding(), Encoding::kInt64);
+    // Exceptions straddle the boundary: row kChunk-1 is the last of chunk
+    // 0, row kChunk the first of chunk 1.
+    const std::vector<int64_t> exc = ints.exception_rows();
+    EXPECT_EQ(std::count(exc.begin(), exc.end(), kChunk - 1),
+              n > kChunk - 1 ? 1 : 0);
+    EXPECT_EQ(std::count(exc.begin(), exc.end(), kChunk), n > kChunk ? 1 : 0);
+    EXPECT_EQ(ints.FindException(std::min(kChunk - 1, n - 1)) != nullptr,
+              n > kChunk - 1);
+    EXPECT_TRUE(ints.FindException(kChunk - 2) == nullptr);
+  }
+}
+
+TEST(ColumnSegmentChunks, EraseAtChunkBoundaryMatchesGolden) {
+  for (const int64_t n : kChunkSizes) {
+    for (const std::vector<Value>& vals : ChunkedCorpus(n)) {
+      std::vector<int64_t> doomed = {0, kChunk - 2, kChunk - 1, kChunk,
+                                     kChunk + 1, 2 * kChunk + 5, n - 1};
+      std::sort(doomed.begin(), doomed.end());
+      doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
+      doomed.erase(std::remove_if(doomed.begin(), doomed.end(),
+                                  [&](int64_t r) { return r >= n; }),
+                   doomed.end());
+      ColumnSegment seg = ColumnSegment::FromValues(vals);
+      const Encoding before = seg.encoding();
+      seg.EraseRows(doomed);
+      std::vector<Value> golden;
+      for (int64_t i = 0; i < n; ++i) {
+        if (!std::binary_search(doomed.begin(), doomed.end(), i)) {
+          golden.push_back(vals[static_cast<size_t>(i)]);
+        }
+      }
+      EXPECT_EQ(seg.encoding(), before);  // Packing preserved.
+      ExpectChunkInvariants(seg);
+      ExpectRoundTrips(seg, golden);
+      for (const int64_t r : seg.exception_rows()) {
+        EXPECT_TRUE(seg.FindException(r) != nullptr) << r;
+      }
+      // Appending after the erase keeps the layout and the values.
+      seg.Append(Value(static_cast<int64_t>(42)));
+      golden.push_back(Value(static_cast<int64_t>(42)));
+      ExpectChunkInvariants(seg);
+      ExpectRoundTrips(seg, golden);
+    }
+  }
+}
+
+TEST(ColumnSegmentChunks, DemotionPastMaxExceptionsSpansChunks) {
+  // Two chunks with a sidecar entry every 10th row (under the 1/8 bound),
+  // then doubles until the segment-wide count overflows: the demotion
+  // fires exactly at the bound and rewrites every chunk, values bit-exact.
+  ColumnSegment seg;
+  std::vector<Value> golden;
+  int64_t exceptions = 0;
+  for (int64_t i = 0; seg.encoding() == Encoding::kInt64; ++i) {
+    const bool exc = i >= 2 * kChunk || (i % 10 == 9);
+    const Value v = exc ? Value(static_cast<double>(i) + 0.5) : Value(i);
+    const bool overflow =
+        exc && exceptions + 1 > ColumnSegment::MaxExceptions(seg.size() + 1);
+    seg.Append(v);
+    golden.push_back(v);
+    if (exc) ++exceptions;
+    ASSERT_EQ(seg.encoding() == Encoding::kTagged, overflow) << "row " << i;
+    ASSERT_LT(i, 4 * kChunk) << "demotion never happened";
+  }
+  EXPECT_GT(seg.size(), 2 * kChunk);
+  EXPECT_EQ(seg.encoding(), Encoding::kTagged);
+  EXPECT_FALSE(seg.has_exceptions());
+  ExpectChunkInvariants(seg);
+  ExpectRoundTrips(seg, golden);
+
+  // The bulk path applies the same bound to the whole column.
+  std::vector<Value> spread;
+  for (int64_t i = 0; i < 3 * kChunk; ++i) {
+    spread.push_back(i % 6 == 0 ? Value(0.5) : Value(i));
+  }
+  const ColumnSegment bulk = ColumnSegment::FromValues(spread);
+  EXPECT_EQ(bulk.encoding(), Encoding::kTagged);
+  ExpectRoundTrips(bulk, spread);
+}
+
+TEST(ColumnSegmentChunks, KernelsMatchTaggedReference) {
+  for (const int64_t n : kChunkSizes) {
+    const auto corpus = ChunkedCorpus(n);
+    // Gather rows: boundary rows, repeats, and a descending sweep.
+    std::vector<int64_t> rows = {std::min(kChunk - 1, n - 1), 0, n - 1};
+    if (n > kChunk) rows.insert(rows.end(), {kChunk, kChunk - 1, kChunk});
+    for (int64_t i = n - 1; i >= 0; i -= 97) rows.push_back(i);
+    const int64_t g = static_cast<int64_t>(rows.size());
+    for (const std::vector<Value>& vals : corpus) {
+      const ColumnSegment seg = ColumnSegment::FromValues(vals);
+      const ColumnSegment ref = ColumnSegment::TaggedFromValues(vals);
+      for (const Value& rhs : RhsCorpus()) {
+        for (const CompOp op : kAllOps) {
+          std::vector<uint8_t> got(static_cast<size_t>(n));
+          for (int64_t i = 0; i < n; ++i) got[i] = i % 3 == 0 ? 0 : 1;
+          std::vector<uint8_t> want = got;
+          AndCompareColumnConst(op, seg, rhs, got.data());
+          AndCompareColumnConst(op, ref, rhs, want.data());
+          ASSERT_EQ(got, want) << CompOpToString(op) << " " << rhs.ToString()
+                               << " n=" << n;
+          std::vector<uint8_t> ggot(rows.size(), 1);
+          std::vector<uint8_t> gwant(rows.size(), 1);
+          AndCompareGather(op, seg, rows.data(), nullptr, nullptr, &rhs, g,
+                           ggot.data());
+          AndCompareGather(op, ref, rows.data(), nullptr, nullptr, &rhs, g,
+                           gwant.data());
+          ASSERT_EQ(ggot, gwant) << CompOpToString(op) << " gather n=" << n;
+        }
+      }
+      for (const std::vector<Value>& other : corpus) {
+        const ColumnSegment oseg = ColumnSegment::FromValues(other);
+        const ColumnSegment oref = ColumnSegment::TaggedFromValues(other);
+        for (const CompOp op : kAllOps) {
+          std::vector<uint8_t> got(static_cast<size_t>(n), 1);
+          std::vector<uint8_t> want(static_cast<size_t>(n), 1);
+          std::vector<uint8_t> mixed(static_cast<size_t>(n), 1);
+          AndCompareColumns(op, seg, oseg, got.data());
+          AndCompareColumns(op, ref, oref, want.data());
+          AndCompareColumns(op, seg, oref, mixed.data());
+          ASSERT_EQ(got, want) << CompOpToString(op) << " n=" << n;
+          ASSERT_EQ(mixed, want) << CompOpToString(op) << " n=" << n;
+          std::vector<uint8_t> ggot(rows.size(), 1);
+          std::vector<uint8_t> gwant(rows.size(), 1);
+          AndCompareGather(op, seg, rows.data(), &oseg, rows.data(), nullptr,
+                           g, ggot.data());
+          AndCompareGather(op, ref, rows.data(), &oref, rows.data(), nullptr,
+                           g, gwant.data());
+          ASSERT_EQ(ggot, gwant) << CompOpToString(op) << " gather n=" << n;
+        }
+      }
+      std::vector<size_t> h(static_cast<size_t>(n));
+      std::vector<size_t> href(static_cast<size_t>(n));
+      HashColumn(seg, h.data());
+      HashColumn(ref, href.data());
+      EXPECT_EQ(h, href);
+      std::vector<size_t> acc(static_cast<size_t>(n), kTupleHashBasis);
+      std::vector<size_t> acc_ref = acc;
+      MixHashColumn(seg, acc.data());
+      MixHashColumn(ref, acc_ref.data());
+      EXPECT_EQ(acc, acc_ref);
+      std::vector<size_t> gacc(rows.size(), kTupleHashBasis);
+      std::vector<size_t> gacc_ref = gacc;
+      MixHashColumnGather(seg, rows.data(), g, gacc.data());
+      MixHashColumnGather(ref, rows.data(), g, gacc_ref.data());
+      EXPECT_EQ(gacc, gacc_ref);
+      for (int64_t i = 0; i < g; ++i) {
+        EXPECT_EQ(gacc[static_cast<size_t>(i)],
+                  (kTupleHashBasis ^ vals[static_cast<size_t>(rows[i])].Hash()) *
+                      kTupleHashPrime);
+      }
+    }
+  }
+}
+
+TEST(ColumnSegmentChunks, AppendGatheredAcrossChunks) {
+  for (const std::vector<Value>& vals : ChunkedCorpus(3 * kChunk + 1)) {
+    const ColumnSegment src = ColumnSegment::FromValues(vals);
+    std::vector<int64_t> rows;
+    for (int64_t i = static_cast<int64_t>(vals.size()) - 1; i >= 0; i -= 2) {
+      rows.push_back(i);
+    }
+    ColumnSegment dst;
+    dst.Append(vals[5]);  // Starts mid-chunk so the gather crosses a boundary.
+    dst.AppendGathered(src, rows.data(), rows.size());
+    std::vector<Value> golden{vals[5]};
+    for (const int64_t r : rows) golden.push_back(vals[static_cast<size_t>(r)]);
+    ExpectChunkInvariants(dst);
+    ExpectRoundTrips(dst, golden);
+  }
+}
+
+TEST(ColumnSegmentChunks, CopyOnWriteClonesOnlyTouchedChunks) {
+  const std::vector<Value> vals = ChunkedInts(3 * kChunk + 1);
+  const ColumnSegment original = ColumnSegment::FromValues(vals);
+  ASSERT_EQ(original.num_chunks(), 4);
+
+  // Tail append on a copy: only the tail chunk is cloned.
+  ColumnSegment appended = original;
+  appended.Append(Value(static_cast<int64_t>(99)));
+  ExpectRoundTrips(original, vals);
+  for (int64_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(&appended.chunk(k), &original.chunk(k)) << "chunk " << k;
+  }
+  EXPECT_NE(&appended.chunk(3), &original.chunk(3));
+  EXPECT_EQ(appended.ValueAt(3 * kChunk + 1).AsInt(), 99);
+
+  // A copy ending exactly at a boundary appends into a fresh chunk and
+  // leaves every existing chunk shared.
+  const ColumnSegment full =
+      ColumnSegment::FromValues(std::vector<Value>(vals.begin(),
+                                                   vals.begin() + 2 * kChunk));
+  ColumnSegment grown = full;
+  grown.Append(Value(static_cast<int64_t>(7)));
+  EXPECT_EQ(full.size(), 2 * kChunk);
+  EXPECT_EQ(&grown.chunk(0), &full.chunk(0));
+  EXPECT_EQ(&grown.chunk(1), &full.chunk(1));
+  EXPECT_EQ(grown.num_chunks(), 3);
+
+  // Erasing from a copy rebuilds the chunks from the first victim's on.
+  ColumnSegment erased = original;
+  erased.EraseRows({kChunk + 5, 3 * kChunk});
+  ExpectRoundTrips(original, vals);
+  EXPECT_EQ(&erased.chunk(0), &original.chunk(0));
+  EXPECT_NE(&erased.chunk(1), &original.chunk(1));
+  ExpectChunkInvariants(erased);
+
+  // An unshared tail is appended to in place.
+  ColumnSegment solo = ColumnSegment::FromValues(vals);
+  const ColumnSegment::Chunk* tail = &solo.chunk(3);
+  solo.Append(Value(static_cast<int64_t>(1)));
+  EXPECT_EQ(&solo.chunk(3), tail);
+
+  // The same holds one level up, through Relation copies.
+  Relation rel("R", Schema({Attribute::Make("A", DataType::kInt64, 10)}));
+  for (int64_t i = 0; i < 2 * kChunk + 3; ++i) rel.AddTuple(Tuple{Value(i)});
+  const Relation frozen = rel;
+  rel.AddTuple(Tuple{Value(static_cast<int64_t>(-1))});
+  EXPECT_EQ(frozen.cardinality(), 2 * kChunk + 3);
+  EXPECT_EQ(&rel.Segment(0).chunk(0), &frozen.Segment(0).chunk(0));
+  EXPECT_NE(&rel.Segment(0).chunk(2), &frozen.Segment(0).chunk(2));
+  EXPECT_EQ(rel.Erase(Tuple{Value(static_cast<int64_t>(-1))}), 1);
+  EXPECT_EQ(&rel.Segment(0).chunk(1), &frozen.Segment(0).chunk(1));
+}
+
+// ---------------------------------------------------------------------------
 // Batched erase.
 
 Relation MixedRelation() {
@@ -492,6 +796,76 @@ TEST(Relation, EraseBatchNoMatchIsNoOp) {
   hit.push_back(Tuple{Value(static_cast<int64_t>(1)), Value("s1")});
   EXPECT_EQ(rel.EraseBatch(hit), 2);
   EXPECT_EQ(rel.version(), before + 1);
+}
+
+// Row-wise reference for Relation::Erase: the first (or every) row equal
+// to `t` in row order, by Value ==.
+std::vector<Tuple> EraseReference(std::vector<Tuple> rows, const Tuple& t,
+                                  bool all_occurrences, int64_t* removed) {
+  std::vector<Tuple> out;
+  *removed = 0;
+  for (Tuple& row : rows) {
+    if (row == t && (all_occurrences || *removed == 0)) {
+      ++*removed;
+      continue;
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+TEST(Relation, ErasePrefilterMatchesRowwiseScan) {
+  StringPool other;
+  const Schema schema({Attribute::Make("K", DataType::kInt64, 10),
+                       Attribute::Make("P", DataType::kInt64, 10)});
+  // Column 0 holds packed ints with NULL / NaN / DOUBLE exceptions (one
+  // relation), or packed strings with a cross-pool twin (the other);
+  // every key repeats, and multi-chunk variants put matches on both sides
+  // of a chunk boundary.
+  std::vector<Relation> relations;
+  for (const int64_t n : {int64_t{40}, kChunk + 40}) {
+    Relation ints("I", schema);
+    Relation strs("S", schema);
+    for (int64_t i = 0; i < n; ++i) {
+      Value k(i % 10);
+      if (i % 37 == 3) k = Value();
+      if (i % 41 == 4) k = Value(kNaN);
+      if (i % 29 == 5) k = Value(3.0);
+      ints.AddTuple(Tuple{k, Value(i % 2)});
+      Value s("k" + std::to_string(i % 6));
+      if (i % 13 == 2) s = Value("k3", other);
+      if (i % 29 == 7) s = Value();
+      strs.AddTuple(Tuple{s, Value(i % 2)});
+    }
+    relations.push_back(std::move(ints));
+    relations.push_back(std::move(strs));
+  }
+  std::vector<Tuple> victims;
+  for (const int64_t p : {int64_t{0}, int64_t{1}}) {
+    victims.push_back(Tuple{Value(static_cast<int64_t>(3)), Value(p)});
+    victims.push_back(Tuple{Value(3.0), Value(p)});
+    victims.push_back(Tuple{Value(), Value(p)});
+    victims.push_back(Tuple{Value(kNaN), Value(p)});
+    victims.push_back(Tuple{Value(static_cast<int64_t>(9)), Value(p)});
+    victims.push_back(Tuple{Value(static_cast<int64_t>(77)), Value(p)});
+    victims.push_back(Tuple{Value("k3"), Value(p)});
+    victims.push_back(Tuple{Value("k3", other), Value(p)});
+    victims.push_back(Tuple{Value("k5"), Value(p)});
+  }
+  for (const Relation& base : relations) {
+    ASSERT_TRUE(base.Segment(0).packed());
+    for (const Tuple& t : victims) {
+      for (const bool all : {false, true}) {
+        Relation rel = base;
+        int64_t want_removed = 0;
+        const std::vector<Tuple> want =
+            EraseReference(base.CopyTuples(), t, all, &want_removed);
+        EXPECT_EQ(rel.Erase(t, all), want_removed)
+            << t.ToString() << " all=" << all;
+        EXPECT_EQ(rel.CopyTuples(), want) << t.ToString() << " all=" << all;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@
 #include "serve/frontend.h"
 #include "serve/snapshot.h"
 #include "space/data_update.h"
+#include "space/information_space.h"
 #include "space/schema_change.h"
+#include "storage/column_segment.h"
+#include "vkb/view_knowledge_base.h"
 
 namespace eve {
 namespace {
@@ -151,6 +154,180 @@ TEST_F(ServeTest, SnapshotViewResolutionPinsTheOldDefinition) {
       ExecuteViewReference(new_def.value(), *new_epoch, ExecOptions{});
   ASSERT_TRUE(new_result.ok()) << new_result.status().ToString();
   EXPECT_EQ(SortedTuples(*new_result), SortedTuples(*old_result));
+}
+
+// --- Incremental capture -----------------------------------------------------
+
+// Index of (site, name) in `snap`'s relation table, or -1.
+int EntryOf(const SystemSnapshot& snap, const std::string& site,
+            const std::string& name) {
+  const auto& rels = snap.relations();
+  for (size_t i = 0; i < rels.size(); ++i) {
+    if (rels[i].site == site && rels[i].name == name) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+TEST_F(ServeTest, IncrementalCaptureReusesUnchangedRelations) {
+  auto system = MakeWorld();
+  const auto before = system->snapshots().Current();
+  ASSERT_TRUE(system
+                  ->NotifyDataUpdate(DataUpdate{UpdateKind::kInsert,
+                                                RelationId{"IS1", "R"},
+                                                Row({4, 40})})
+                  .ok());
+  const auto after = system->snapshots().Current();
+  ASSERT_NE(after->epoch(), before->epoch());
+  const int r = EntryOf(*after, "IS1", "R");
+  const int s = EntryOf(*after, "IS1", "S");
+  ASSERT_GE(r, 0);
+  ASSERT_GE(s, 0);
+  ASSERT_EQ(EntryOf(*before, "IS1", "R"), r);
+  // S is untouched: the new epoch holds the very same frozen copy.  R was
+  // mutated: it gets a fresh copy, and the old epoch keeps its own.
+  EXPECT_EQ(after->relations()[s].relation, before->relations()[s].relation);
+  EXPECT_NE(after->relations()[r].relation, before->relations()[r].relation);
+  EXPECT_EQ(before->relations()[r].relation->cardinality(), 3);
+  EXPECT_EQ(after->relations()[r].relation->cardinality(), 4);
+
+  // A refresh with nothing changed shares every entry but is a new epoch.
+  ASSERT_TRUE(system->RefreshSnapshot().ok());
+  const auto same = system->snapshots().Current();
+  EXPECT_NE(same->epoch(), after->epoch());
+  EXPECT_EQ(&same->relations(), &after->relations());
+}
+
+TEST_F(ServeTest, IncrementalCaptureFollowsNameShapeChanges) {
+  auto system = MakeWorld();
+  ASSERT_TRUE(system
+                  ->RegisterRelation("IS2", MakeRelation("U", {"K", "Z"},
+                                                         {{1, 7}, {9, 9}}))
+                  .ok());
+  ASSERT_TRUE(system
+                  ->RegisterRelation("IS2", MakeRelation("W", {"K"},
+                                                         {{1}, {2}, {3}}))
+                  .ok());
+  const auto start = system->snapshots().Current();
+  const Relation* s_before = start->Resolve("", "S").value();
+  const auto notify = [&](SchemaChange change) {
+    const auto report = system->NotifySchemaChange(change);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  };
+
+  // Rename U -> U2: the old name disappears, the new one resolves, and the
+  // unrelated S keeps its frozen copy across the rebuilt maps.
+  notify(SchemaChange(RenameRelation{RelationId{"IS2", "U"}, "U2"}));
+  auto snap = system->snapshots().Current();
+  EXPECT_EQ(snap->Resolve("IS2", "U").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(snap->Resolve("", "U").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(snap->Resolve("", "U2").ok());
+  EXPECT_EQ(snap->Resolve("", "U2").value()->cardinality(), 2);
+  EXPECT_EQ(snap->Resolve("", "S").value(), s_before);
+  EXPECT_EQ(start->Resolve("", "U").value()->cardinality(), 2);
+
+  // Drop W, then re-add it with other data: the new epoch serves the new
+  // relation, never the dropped one's frozen copy.
+  const Relation* w_before = snap->Resolve("", "W").value();
+  notify(SchemaChange(DeleteRelation{RelationId{"IS2", "W"}}));
+  snap = system->snapshots().Current();
+  EXPECT_EQ(snap->Resolve("", "W").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(system->RegisterRelation("IS2", MakeRelation("W", {"K"}, {{5}}))
+                  .ok());
+  snap = system->snapshots().Current();
+  ASSERT_TRUE(snap->Resolve("IS2", "W").ok());
+  EXPECT_EQ(snap->Resolve("IS2", "W").value()->cardinality(), 1);
+  EXPECT_NE(snap->Resolve("IS2", "W").value(), w_before);
+
+  // Renaming IS2.U2 to S makes the bare name ambiguous; qualified names
+  // still resolve to each site's own relation.
+  notify(SchemaChange(RenameRelation{RelationId{"IS2", "U2"}, "S"}));
+  snap = system->snapshots().Current();
+  EXPECT_EQ(snap->Resolve("", "S").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(snap->Resolve("IS1", "S").value(), s_before);
+  EXPECT_EQ(snap->Resolve("IS2", "S").value()->cardinality(), 2);
+  // The next capture reuses the rebuilt table unchanged.
+  ASSERT_TRUE(system->RefreshSnapshot().ok());
+  const auto again = system->snapshots().Current();
+  EXPECT_EQ(again->Resolve("", "S").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(again->Resolve("IS2", "S").value(),
+            snap->Resolve("IS2", "S").value());
+}
+
+TEST_F(ServeTest, CaptureNoticesSourceEditsThatKeepTheNameVersion) {
+  // Editing a source directly bypasses InformationSpace::NameVersion();
+  // capture checks the walk against the previous table and rebuilds.
+  InformationSpace space;
+  ASSERT_TRUE(space.AddRelation("IS1", MakeRelation("A", {"K"}, {{1}})).ok());
+  ASSERT_TRUE(space.AddRelation("IS1", MakeRelation("B", {"K"}, {{2}})).ok());
+  const auto first = SystemSnapshot::Capture(space, nullptr);
+  const uint64_t names = space.NameVersion();
+  InformationSource* source = space.GetMutableSource("IS1").value();
+  ASSERT_TRUE(source->DropRelation("A").ok());
+  ASSERT_TRUE(source->AddRelation(MakeRelation("C", {"K"}, {{3}, {4}})).ok());
+  ASSERT_EQ(space.NameVersion(), names);
+  const auto second = SystemSnapshot::Capture(space, nullptr, first.get());
+  EXPECT_EQ(second->Resolve("", "A").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(second->Resolve("", "C").ok());
+  EXPECT_EQ(second->Resolve("", "C").value()->cardinality(), 2);
+  EXPECT_EQ(second->Resolve("", "B").value(), first->Resolve("", "B").value());
+}
+
+TEST_F(ServeTest, PinnedEpochKeepsOldDefinitionAfterReplace) {
+  InformationSpace space;
+  ASSERT_TRUE(space.AddRelation("IS1", MakeRelation("R", {"K", "X"},
+                                                    {{1, 10}, {2, 20}}))
+                  .ok());
+  ViewKnowledgeBase vkb;
+  ASSERT_TRUE(vkb.Define(ParseViewDefinition(
+                             "CREATE VIEW V AS SELECT R.K FROM R WHERE R.K > 1")
+                             .value())
+                  .ok());
+  const auto pinned = SystemSnapshot::Capture(space, &vkb);
+
+  // Extent maintenance keeps the version (the definition map is shared).
+  const uint64_t v0 = vkb.version();
+  ASSERT_TRUE(vkb.SetExtent("V", MakeRelation("V", {"K"}, {{2}})).ok());
+  EXPECT_EQ(vkb.version(), v0);
+  const auto shared = SystemSnapshot::Capture(space, &vkb, pinned.get());
+  ASSERT_TRUE(shared->View("V").ok());
+
+  ASSERT_TRUE(vkb.ReplaceDefinition(
+                     "V",
+                     ParseViewDefinition("CREATE VIEW V AS SELECT R.X FROM R")
+                         .value(),
+                     "test")
+                  .ok());
+  EXPECT_NE(vkb.version(), v0);
+  const auto next = SystemSnapshot::Capture(space, &vkb, shared.get());
+  const auto old_def = pinned->View("V");
+  const auto new_def = next->View("V");
+  ASSERT_TRUE(old_def.ok());
+  ASSERT_TRUE(new_def.ok());
+  EXPECT_EQ(old_def->where.size(), 1u);
+  EXPECT_TRUE(new_def->where.empty());
+  EXPECT_EQ(ExecuteViewReference(*old_def, *pinned, ExecOptions{})
+                ->cardinality(),
+            1);
+  EXPECT_EQ(ExecuteViewReference(*new_def, *next, ExecOptions{})
+                ->schema()
+                .attribute(0)
+                .name,
+            "X");
+
+  // MarkDead and Drop retire the view from later epochs only.
+  const uint64_t v1 = vkb.version();
+  ASSERT_TRUE(vkb.MarkDead("V", "test").ok());
+  EXPECT_NE(vkb.version(), v1);
+  const auto dead = SystemSnapshot::Capture(space, &vkb, next.get());
+  EXPECT_EQ(dead->View("V").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(next->View("V").ok());
+  const uint64_t v2 = vkb.version();
+  ASSERT_TRUE(vkb.Drop("V").ok());
+  EXPECT_NE(vkb.version(), v2);
 }
 
 // --- Front-end basics ----------------------------------------------------------
@@ -449,6 +626,74 @@ TEST_F(ServeTest, ConcurrentReadersSeeByteIdenticalPinnedEpochs) {
   EXPECT_EQ(reads_ok.load(), kReaders * kReadsPerReader);
   // The stress must have actually raced readers against epoch swaps.
   EXPECT_GT(system->snapshots().CurrentSequence(), 1u);
+}
+
+TEST_F(ServeTest, PinnedReaderScansWhileMutatorCrossesChunkBoundaries) {
+  // R holds rows (i, i) for i in [0, n).  The mutator appends and erases
+  // tail rows so n swings across the 4096-row chunk boundary; a reader
+  // pinning any epoch must see exactly the rows 0..n-1 of that epoch, in
+  // order, on two scans around a yield -- a chunk edited in place under a
+  // pinned epoch would break one of them.
+  constexpr int64_t kBoundary = ColumnSegment::kChunkRows;
+  constexpr int64_t kStart = kBoundary - 40;
+  EveSystem system;
+  {
+    std::vector<std::vector<int>> rows;
+    for (int64_t i = 0; i < kStart; ++i) {
+      rows.push_back({static_cast<int>(i), static_cast<int>(i)});
+    }
+    ASSERT_TRUE(
+        system.RegisterRelation("IS1", MakeRelation("R", {"K", "X"}, rows))
+            .ok());
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> scans{0};
+  const auto scan = [](const Relation& rel) {
+    for (int64_t row = 0; row < rel.cardinality(); ++row) {
+      if (rel.ValueAt(row, 0).AsInt() != row ||
+          rel.ValueAt(row, 1).AsInt() != row) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire) || scans.load() < 20) {
+      const auto snap = system.snapshots().Current();
+      const Relation* rel = snap->Resolve("IS1", "R").value();
+      const int64_t n = rel->cardinality();
+      if (!scan(*rel)) ++bad;
+      std::this_thread::yield();
+      if (rel->cardinality() != n || !scan(*rel)) ++bad;
+      ++scans;
+    }
+  });
+  int64_t n = kStart;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 80; ++i, ++n) {  // Up across the boundary...
+      ASSERT_TRUE(system
+                      .NotifyDataUpdate(DataUpdate{
+                          UpdateKind::kInsert, RelationId{"IS1", "R"},
+                          Row({static_cast<int>(n), static_cast<int>(n)})})
+                      .ok());
+    }
+    for (int i = 0; i < 70; ++i) {  // ...and back down by tail erases.
+      --n;
+      ASSERT_TRUE(system
+                      .NotifyDataUpdate(DataUpdate{
+                          UpdateKind::kDelete, RelationId{"IS1", "R"},
+                          Row({static_cast<int>(n), static_cast<int>(n)})})
+                      .ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(scans.load(), 20);
+  const Relation* live = system.space().Resolve("IS1", "R").value();
+  EXPECT_EQ(live->cardinality(), n);
+  EXPECT_TRUE(scan(*live));
 }
 
 }  // namespace
