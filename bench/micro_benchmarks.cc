@@ -597,6 +597,38 @@ void BM_TransitiveClosure_Uncached(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitiveClosure_Uncached);
 
+// Cold closures on the e2ebench scenario shapes: 6 families x 8 replicas
+// (`star`, the serve/maintain shape), plus snowflake chains and 2 partial
+// mirrors per family (`snowflake_mirrors`, the evolve shape).  Every
+// iteration computes each relation's 4-hop closure with no memo, so it
+// prices a closure miss: the adjacency rebuild plus the breadth-first
+// expansion.  The mirrors are the fan-in hubs that made the path-by-path
+// expansion re-derive the same closure once per path.
+void BM_TransitiveClosureMiss(benchmark::State& state, bool snowflake_mirrors) {
+  ScenarioOptions scenario;
+  scenario.replicas_per_family = 8;
+  scenario.dimension_rows = 64;
+  scenario.fact_rows = 64;
+  scenario.snowflake = snowflake_mirrors;
+  scenario.partial_mirrors = snowflake_mirrors ? 2 : 0;
+  EveOptions eve_options;
+  eve_options.materialize = false;
+  const auto system = BuildScenarioSystem(scenario, eve_options).value();
+  const MetaKnowledgeBase& mkb = system->mkb();
+  const std::vector<RelationId> sources = mkb.Relations();
+  int64_t closures = 0;
+  for (auto _ : state) {
+    for (const RelationId& id : sources) {
+      auto edges = mkb.PcEdgesFromTransitiveUncached(id, 4);
+      benchmark::DoNotOptimize(edges);
+    }
+    closures += static_cast<int64_t>(sources.size());
+  }
+  state.SetItemsProcessed(closures);
+}
+BENCHMARK_CAPTURE(BM_TransitiveClosureMiss, star, false);
+BENCHMARK_CAPTURE(BM_TransitiveClosureMiss, snowflake_mirrors, true);
+
 void BM_QcRanking(benchmark::State& state) {
   SynchFixture fixture;
   ViewSynchronizer synchronizer(fixture.mkb);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/fault_injection.h"
 #include "common/hashing.h"
@@ -110,6 +110,7 @@ Status MetaKnowledgeBase::RegisterRelation(const RelationId& id,
   // yet, so no derived memo entry can depend on it: nothing to drop.
   InvalidateTouching({}, {});
   schemas_.emplace(id, schema);
+  ids_by_name_[id.relation].push_back(id);
   return Status::OK();
 }
 
@@ -160,7 +161,33 @@ bool JcReferencesAttr(const JoinConstraint& jc, const RelationId& id,
   return false;
 }
 
+// Erases the PC constraints matching `doomed` together with their texts
+// (the parallel vector stays aligned); returns the number erased.
+template <typename Pred>
+int ErasePcConstraintsIf(std::vector<PcConstraint>* pcs,
+                         std::vector<std::string>* texts, Pred&& doomed) {
+  size_t kept = 0;
+  for (size_t i = 0; i < pcs->size(); ++i) {
+    if (doomed((*pcs)[i])) continue;
+    if (kept != i) {
+      (*pcs)[kept] = std::move((*pcs)[i]);
+      (*texts)[kept] = std::move((*texts)[i]);
+    }
+    ++kept;
+  }
+  const int erased = static_cast<int>(pcs->size() - kept);
+  pcs->resize(kept);
+  texts->resize(kept);
+  return erased;
+}
+
 }  // namespace
+
+void MetaKnowledgeBase::UnindexName(const RelationId& id) {
+  const auto it = ids_by_name_.find(id.relation);
+  std::erase(it->second, id);
+  if (it->second.empty()) ids_by_name_.erase(it);
+}
 
 Result<int> MetaKnowledgeBase::UnregisterRelation(const RelationId& id) {
   if (schemas_.count(id) == 0) {
@@ -171,17 +198,13 @@ Result<int> MetaKnowledgeBase::UnregisterRelation(const RelationId& id) {
   InvalidateTouching(PcNeighborhood(id), {id});
   BridgeConstraintsThrough(id, /*attr=*/nullptr);
   schemas_.erase(id);
-  int dropped = 0;
-  std::erase_if(join_constraints_, [&](const JoinConstraint& jc) {
-    const bool hit = jc.Involves(id);
-    dropped += hit ? 1 : 0;
-    return hit;
-  });
-  std::erase_if(pc_constraints_, [&](const PcConstraint& pc) {
-    const bool hit = PcTouches(pc, id);
-    dropped += hit ? 1 : 0;
-    return hit;
-  });
+  UnindexName(id);
+  int dropped = static_cast<int>(std::erase_if(
+      join_constraints_,
+      [&](const JoinConstraint& jc) { return jc.Involves(id); }));
+  dropped += ErasePcConstraintsIf(
+      &pc_constraints_, &pc_texts_,
+      [&](const PcConstraint& pc) { return PcTouches(pc, id); });
   stats_.Remove(id);
   return dropped;
 }
@@ -209,17 +232,14 @@ Result<int> MetaKnowledgeBase::RemoveAttribute(const RelationId& id,
   BridgeConstraintsThrough(id, &attr);
   it->second = Schema(std::move(attrs));
 
-  int dropped = 0;
-  std::erase_if(join_constraints_, [&](const JoinConstraint& jc) {
-    const bool hit = JcReferencesAttr(jc, id, attr);
-    dropped += hit ? 1 : 0;
-    return hit;
-  });
-  std::erase_if(pc_constraints_, [&](const PcConstraint& pc) {
-    const bool hit = PcReferencesAttr(pc, id, attr);
-    dropped += hit ? 1 : 0;
-    return hit;
-  });
+  int dropped = static_cast<int>(
+      std::erase_if(join_constraints_, [&](const JoinConstraint& jc) {
+        return JcReferencesAttr(jc, id, attr);
+      }));
+  dropped += ErasePcConstraintsIf(
+      &pc_constraints_, &pc_texts_, [&](const PcConstraint& pc) {
+        return PcReferencesAttr(pc, id, attr);
+      });
   return dropped;
 }
 
@@ -260,6 +280,8 @@ Status MetaKnowledgeBase::RenameRelation(const RelationId& from,
   Schema schema = it->second;
   schemas_.erase(it);
   schemas_.emplace(to, std::move(schema));
+  UnindexName(from);
+  ids_by_name_[new_name].push_back(to);
 
   const std::map<std::string, std::string> rel_map{{from.relation, new_name}};
   for (JoinConstraint& jc : join_constraints_) {
@@ -267,13 +289,16 @@ Status MetaKnowledgeBase::RenameRelation(const RelationId& from,
     if (jc.right == from) jc.right = to;
     jc.condition = jc.condition.RenameRelations(rel_map);
   }
-  for (PcConstraint& pc : pc_constraints_) {
+  for (size_t i = 0; i < pc_constraints_.size(); ++i) {
+    PcConstraint& pc = pc_constraints_[i];
+    if (!PcTouches(pc, from)) continue;
     for (PcSide* side : {&pc.left, &pc.right}) {
       if (side->relation == from) {
         side->relation = to;
         side->selection = side->selection.RenameRelations(rel_map);
       }
     }
+    pc_texts_[i] = pc.ToString();
   }
   if (stats_.Has(from)) {
     EVE_RETURN_IF_ERROR(stats_.Rename(from, to));
@@ -310,7 +335,9 @@ Status MetaKnowledgeBase::RenameAttribute(const RelationId& id,
   for (JoinConstraint& jc : join_constraints_) {
     if (jc.Involves(id)) jc.condition = jc.condition.Substitute(attr_map);
   }
-  for (PcConstraint& pc : pc_constraints_) {
+  for (size_t i = 0; i < pc_constraints_.size(); ++i) {
+    PcConstraint& pc = pc_constraints_[i];
+    if (!PcTouches(pc, id)) continue;
     for (PcSide* side : {&pc.left, &pc.right}) {
       if (side->relation == id) {
         for (std::string& a : side->attributes) {
@@ -319,6 +346,7 @@ Status MetaKnowledgeBase::RenameAttribute(const RelationId& id,
         side->selection = side->selection.Substitute(attr_map);
       }
     }
+    pc_texts_[i] = pc.ToString();
   }
   return Status::OK();
 }
@@ -342,10 +370,9 @@ void MetaKnowledgeBase::BridgeConstraintsThrough(const RelationId& through,
   if (doomed.size() < 2) return;
 
   // Existing-constraint fingerprints, to avoid duplicates.
-  std::set<std::string> existing;
-  for (const PcConstraint& pc : pc_constraints_) existing.insert(pc.ToString());
+  std::set<std::string> existing(pc_texts_.begin(), pc_texts_.end());
 
-  std::vector<PcConstraint> bridges;
+  std::vector<std::pair<PcConstraint, std::string>> bridges;
   for (size_t i = 0; i < doomed.size(); ++i) {
     for (size_t j = 0; j < doomed.size(); ++j) {
       if (i == j) continue;
@@ -371,13 +398,15 @@ void MetaKnowledgeBase::BridgeConstraintsThrough(const RelationId& through,
       bridge.left.selectivity = e1.target_selectivity;
       bridge.right.selection = e2.target_selection;
       bridge.right.selectivity = e2.target_selectivity;
-      if (existing.insert(bridge.ToString()).second) {
-        bridges.push_back(std::move(bridge));
+      std::string text = bridge.ToString();
+      if (existing.insert(text).second) {
+        bridges.emplace_back(std::move(bridge), std::move(text));
       }
     }
   }
-  for (PcConstraint& bridge : bridges) {
+  for (auto& [bridge, text] : bridges) {
     pc_constraints_.push_back(std::move(bridge));
+    pc_texts_.push_back(std::move(text));
   }
 }
 
@@ -402,20 +431,15 @@ std::vector<RelationId> MetaKnowledgeBase::Relations() const {
 
 Result<RelationId> MetaKnowledgeBase::ResolveName(
     const std::string& relation_name) const {
-  const RelationId* found = nullptr;
-  for (const auto& [id, schema] : schemas_) {
-    if (id.relation == relation_name) {
-      if (found != nullptr) {
-        return Status::FailedPrecondition("relation name " + relation_name +
-                                          " is ambiguous across sites");
-      }
-      found = &id;
-    }
-  }
-  if (found == nullptr) {
+  const auto it = ids_by_name_.find(relation_name);
+  if (it == ids_by_name_.end()) {
     return Status::NotFound("relation " + relation_name + " not in MKB");
   }
-  return *found;
+  if (it->second.size() > 1) {
+    return Status::FailedPrecondition("relation name " + relation_name +
+                                      " is ambiguous across sites");
+  }
+  return it->second.front();
 }
 
 Status MetaKnowledgeBase::AddJoinConstraint(JoinConstraint jc) {
@@ -453,6 +477,7 @@ Status MetaKnowledgeBase::AddPcConstraint(PcConstraint pc) {
   // A new PC edge between these endpoints can extend any closure that
   // reached either of them; join constraints are untouched.
   InvalidateTouching({pc.left.relation, pc.right.relation}, {});
+  pc_texts_.push_back(pc.ToString());
   pc_constraints_.push_back(std::move(pc));
   return Status::OK();
 }
@@ -480,11 +505,12 @@ std::vector<const JoinConstraint*> MetaKnowledgeBase::FindJoinConstraints(
   return out;
 }
 
-PcEdge MetaKnowledgeBase::MakeEdge(const PcConstraint& pc, bool flipped) {
+PcEdge MetaKnowledgeBase::MakeEdge(const PcConstraint& pc,
+                                   const std::string& text, bool flipped) {
   const PcSide& src = flipped ? pc.right : pc.left;
   const PcSide& dst = flipped ? pc.left : pc.right;
   PcEdge edge;
-  edge.constraint_text = pc.ToString();
+  edge.constraint_text = text;
   edge.source = src.relation;
   edge.target = dst.relation;
   edge.type = flipped ? FlipPcRelationType(pc.type) : pc.type;
@@ -501,11 +527,12 @@ PcEdge MetaKnowledgeBase::MakeEdge(const PcConstraint& pc, bool flipped) {
 std::vector<PcEdge> MetaKnowledgeBase::PcEdgesFrom(
     const RelationId& source) const {
   std::vector<PcEdge> out;
-  for (const PcConstraint& pc : pc_constraints_) {
+  for (size_t i = 0; i < pc_constraints_.size(); ++i) {
+    const PcConstraint& pc = pc_constraints_[i];
     if (pc.left.relation == source && !(pc.right.relation == source)) {
-      out.push_back(MakeEdge(pc, /*flipped=*/false));
+      out.push_back(MakeEdge(pc, pc_texts_[i], /*flipped=*/false));
     } else if (pc.right.relation == source && !(pc.left.relation == source)) {
-      out.push_back(MakeEdge(pc, /*flipped=*/true));
+      out.push_back(MakeEdge(pc, pc_texts_[i], /*flipped=*/true));
     }
   }
   return out;
@@ -515,7 +542,7 @@ namespace {
 
 // Structural dedup key of a derived edge: target + type + attribute map.
 // Replaces the seed's string-rendered keys; equality stays exact (hash
-// collisions fall back to the structural comparison of the unordered_set).
+// collisions fall back to the structural comparison of the unordered_map).
 struct EdgeSignature {
   RelationId target;
   PcRelationType type;
@@ -552,52 +579,79 @@ namespace {
 
 // Breadth-first closure over `adjacency` (a callable RelationId -> edge
 // list); shortest derivation wins the structural dedup because the search
-// is breadth-first.  A non-null `gov` charges one work unit per expanded
-// frontier edge and per composed edge, bounding pathological closures under
-// a governed context (the error aborts the search; callers must not cache
-// the partial result).
+// is breadth-first.
+//
+// An edge's children depend only on its signature (target, type, attribute
+// map), so each derivation class is expanded once: by its first edge with
+// an unselected target, which sits at the earliest hop and earliest in
+// frontier order.  A later edge of the class would only rebuild children
+// whose signatures the first one's children already claimed, at an earlier
+// hop or earlier in the same frontier, so skipping it keeps the result
+// byte-identical to expanding every path.  For the same reason a composed
+// edge whose signature is already claimed is not built when it could never
+// be expanded either (class already expanded, selected target, or last
+// hop).  A miss therefore costs O(distinct derivations x degree) rather
+// than O(paths).
+//
+// A non-null `gov` charges one work unit per frontier edge and per composed
+// edge, bounding pathological closures under a governed context (the error
+// aborts the search; callers must not cache the partial result).
 template <typename AdjacencyFn>
 Result<std::vector<PcEdge>> ComputeClosure(const RelationId& source,
                                            int max_hops,
                                            AdjacencyFn&& adjacency,
                                            ExecGovernor* gov) {
   std::vector<PcEdge> result;
-  std::unordered_set<EdgeSignature, EdgeSignatureHash> seen;
+  // Signature -> whether an edge of that class has been expanded.
+  std::unordered_map<EdgeSignature, bool, EdgeSignatureHash> seen;
 
   // Frontier of derived edges source -> X, expanded breadth-first.
   std::vector<PcEdge> frontier = adjacency(source);
   for (int hop = 1; hop <= max_hops && !frontier.empty(); ++hop) {
+    const bool expand = hop < max_hops;
+    // Children of this hop's edges land on the last hop: never expanded.
+    const bool children_final = hop + 1 == max_hops;
     std::vector<PcEdge> next;
-    for (const PcEdge& edge : frontier) {
+    for (PcEdge& frontier_edge : frontier) {
       if (gov != nullptr) {
         EVE_RETURN_IF_ERROR(gov->Charge());
       }
-      if (seen.insert(EdgeSignature{edge.target, edge.type, edge.attribute_map})
-              .second) {
-        result.push_back(edge);
-      }
-      if (hop == max_hops) continue;
+      const auto [slot, inserted] = seen.try_emplace(EdgeSignature{
+          frontier_edge.target, frontier_edge.type, frontier_edge.attribute_map});
+      if (inserted) result.push_back(std::move(frontier_edge));
+      const PcEdge& edge = inserted ? result.back() : frontier_edge;
+      if (!expand) continue;
       // The intermediate fragment must be unselected for a sound join of
       // the two constraints.
       if (!edge.target_selection.IsTrue()) continue;
+      if (slot->second) continue;  // Class already expanded.
+      slot->second = true;
       for (const PcEdge& ext : adjacency(edge.target)) {
         if (ext.target == source || ext.target == edge.target) continue;
         if (!ext.source_selection.IsTrue()) continue;
         const auto type = ComposePcType(edge.type, ext.type);
         if (!type.has_value()) continue;
+        EdgeSignature signature{ext.target, *type, {}};
+        for (const auto& [from, mid] : edge.attribute_map) {
+          const auto it = ext.attribute_map.find(mid);
+          if (it != ext.attribute_map.end()) {
+            signature.attribute_map[from] = it->second;
+          }
+        }
+        if (signature.attribute_map.empty()) continue;
+        if (const auto claimed = seen.find(signature);
+            claimed != seen.end() &&
+            (claimed->second || children_final ||
+             !ext.target_selection.IsTrue())) {
+          continue;  // Certain to be dropped unexpanded.
+        }
         PcEdge composed;
         composed.constraint_text =
             edge.constraint_text + " o " + ext.constraint_text;
         composed.source = source;
         composed.target = ext.target;
         composed.type = *type;
-        for (const auto& [from, mid] : edge.attribute_map) {
-          const auto it = ext.attribute_map.find(mid);
-          if (it != ext.attribute_map.end()) {
-            composed.attribute_map[from] = it->second;
-          }
-        }
-        if (composed.attribute_map.empty()) continue;
+        composed.attribute_map = std::move(signature.attribute_map);
         composed.source_selectivity = edge.source_selectivity;
         composed.target_selectivity = ext.target_selectivity;
         composed.source_selection = edge.source_selection;

@@ -14,6 +14,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -109,8 +110,10 @@ class MetaKnowledgeBase {
   /// All registered relations (sorted by id).
   std::vector<RelationId> Relations() const;
 
-  /// Resolves a bare relation name to its RelationId.  Fails if unknown or
-  /// ambiguous across sites.
+  /// Resolves a bare relation name to its RelationId.  Fails if unknown
+  /// (NotFound) or ambiguous across sites (FailedPrecondition).  O(1): a
+  /// bare-name index kept by RegisterRelation, UnregisterRelation and
+  /// RenameRelation answers it.
   Result<RelationId> ResolveName(const std::string& relation_name) const;
 
   // --- Constraints ---------------------------------------------------------
@@ -146,7 +149,17 @@ class MetaKnowledgeBase {
   /// relations only when compatible (equivalent is neutral; subset chains
   /// stay subset, superset chains stay superset; mixing is not derivable).
   /// Direct (1-hop) edges are included.  Results are deduplicated, keeping
-  /// the shortest derivation per (target, type, attribute map).
+  /// the shortest derivation per (target, type, attribute map), in
+  /// breadth-first order.
+  ///
+  /// Expansion rule: an edge's extensions depend only on that signature,
+  /// so the breadth-first search expands each derivation class once, at
+  /// its first edge with an unselected target, and never builds a composed
+  /// edge whose signature is already claimed unless it may still be
+  /// expanded.  The result is exactly what expanding every path would give
+  /// (the first derivation per signature), but a miss costs
+  /// O(distinct derivations x degree) instead of O(paths): chains that fan
+  /// into a shared hub derive the hub's closure once, not once per path.
   ///
   /// The closure is memoized per (source, max_hops); a mutation touching a
   /// relation the closure reached invalidates the entry -- unrelated
@@ -169,17 +182,19 @@ class MetaKnowledgeBase {
 
   /// Governed variant of PcEdgesFromTransitive: a memo hit is returned
   /// as-is (free); a miss runs the closure search charging one row-budget
-  /// work unit per expanded/composed edge against `ctx` and honoring its
-  /// deadline and cancellation.  A governance failure caches nothing, so
-  /// the memo never holds a partial closure.  The returned pointer follows
+  /// work unit per frontier edge and per composed edge it builds (pruned
+  /// duplicates are never built, so they cost nothing) against `ctx`,
+  /// honoring its deadline and cancellation.  A governance failure caches
+  /// nothing, so the memo never holds a partial closure.  The returned pointer follows
   /// the same validity rule as PcEdgesFromTransitive's reference.
   Result<const std::vector<PcEdge>*> PcEdgesFromTransitiveGoverned(
       const RelationId& source, int max_hops, const ExecContext& ctx) const;
 
-  /// The same closure computed without any memoization, rebuilding the
-  /// adjacency lists by scanning the constraint store per node (the seed's
-  /// behavior).  Kept as the benchmark baseline and the equivalence oracle
-  /// for the memoized path.
+  /// The same closure computed without any memoization: the adjacency lists
+  /// are rebuilt by scanning the constraint store per expanded node, and
+  /// the result is not cached.  It runs the same once-per-class expansion,
+  /// so it is the no-memo benchmark baseline and the memo's equivalence
+  /// oracle, not a second algorithm.
   std::vector<PcEdge> PcEdgesFromTransitiveUncached(const RelationId& source,
                                                     int max_hops = 4) const;
 
@@ -215,7 +230,12 @@ class MetaKnowledgeBase {
   MkbMemoStats memo_stats() const;
 
  private:
-  static PcEdge MakeEdge(const PcConstraint& pc, bool flipped);
+  // `text` is pc's stored rendering (pc_texts_), copied into the edge.
+  static PcEdge MakeEdge(const PcConstraint& pc, const std::string& text,
+                         bool flipped);
+
+  // Drops `id` from the bare-name index (ids_by_name_).
+  void UnindexName(const RelationId& id);
 
   // Installs PC constraints composing each pair of soon-to-be-dropped
   // constraints that meet at `through` (optionally only those referencing
@@ -249,6 +269,11 @@ class MetaKnowledgeBase {
   std::map<RelationId, Schema> schemas_;
   std::vector<JoinConstraint> join_constraints_;
   std::vector<PcConstraint> pc_constraints_;
+  // pc_texts_[i] == pc_constraints_[i].ToString(), rendered once when the
+  // constraint is stored or rewritten; edges and bridge dedup copy it.
+  std::vector<std::string> pc_texts_;
+  // Bare relation name -> every registered id with that name (ResolveName).
+  std::unordered_map<std::string, std::vector<RelationId>> ids_by_name_;
   StatisticsStore stats_;
   bool selective_invalidation_ = true;
 

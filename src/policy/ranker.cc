@@ -59,11 +59,13 @@ Result<CandidateFeatures> ExtractCandidateFeatures(
   f.exact = quality.exact ? 1 : 0;
 
   EVE_ASSIGN_OR_RETURN(const ViewCostInput cost_input,
-                       BuildCostInput(view, mkb));
+                       BuildCostInput(view, mkb, candidate.renamed_relation_ids));
   EVE_ASSIGN_OR_RETURN(const WorkloadCost cost,
                        ComputeWorkloadCost(cost_input, workload, cost_options));
   f.weighted_cost = cost.Weighted(params);
-  EVE_ASSIGN_OR_RETURN(f.estimated_size, EstimateViewSize(view, mkb));
+  EVE_ASSIGN_OR_RETURN(
+      f.estimated_size,
+      EstimateViewSize(view, mkb, candidate.renamed_relation_ids));
 
   f.ops = static_cast<double>(candidate.ops.size());
   for (const RewriteDelta& op : candidate.ops) {
@@ -113,7 +115,8 @@ Result<std::vector<double>> QcRanker::Score(
     const DeltaView view = c.View();
     EVE_ASSIGN_OR_RETURN(const QualityBreakdown quality,
                          EstimateQuality(original, c, view, mkb, params_));
-    EVE_ASSIGN_OR_RETURN(const ViewCostInput input, BuildCostInput(view, mkb));
+    EVE_ASSIGN_OR_RETURN(const ViewCostInput input,
+                         BuildCostInput(view, mkb, c.renamed_relation_ids));
     EVE_ASSIGN_OR_RETURN(const WorkloadCost cost,
                          ComputeWorkloadCost(input, workload_, cost_options_));
     dds.push_back(quality.dd);

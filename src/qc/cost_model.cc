@@ -130,18 +130,15 @@ inline const FromItem& FromAt(const DeltaView& v, int i) { return v.from(i); }
 // One implementation for the materialized definition and the compiled
 // (base, delta) overlay; both read FROM items and local conjunctions only.
 template <typename View>
-Result<ViewCostInput> BuildCostInputImpl(const View& view,
-                                         const MetaKnowledgeBase& mkb) {
+Result<ViewCostInput> BuildCostInputImpl(
+    const View& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids) {
   ViewCostInput input;
   input.join_selectivity = mkb.stats().join_selectivity();
   for (int i = 0; i < FromSize(view); ++i) {
     const FromItem& f = FromAt(view, i);
-    RelationId id;
-    if (!f.site.empty()) {
-      id = RelationId{f.site, f.relation};
-    } else {
-      EVE_ASSIGN_OR_RETURN(id, mkb.ResolveName(f.relation));
-    }
+    EVE_ASSIGN_OR_RETURN(const RelationId id,
+                         ResolvePricedRelation(f, mkb, renamed_ids));
     EVE_ASSIGN_OR_RETURN(RelationStats stats, mkb.stats().Get(id));
     CostRelation rel;
     rel.id = id;
@@ -156,14 +153,28 @@ Result<ViewCostInput> BuildCostInputImpl(const View& view,
 
 }  // namespace
 
-Result<ViewCostInput> BuildCostInput(const ViewDefinition& view,
-                                     const MetaKnowledgeBase& mkb) {
-  return BuildCostInputImpl(view, mkb);
+Result<ViewCostInput> BuildCostInput(
+    const ViewDefinition& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids) {
+  return BuildCostInputImpl(view, mkb, renamed_ids);
 }
 
-Result<ViewCostInput> BuildCostInput(const DeltaView& view,
-                                     const MetaKnowledgeBase& mkb) {
-  return BuildCostInputImpl(view, mkb);
+Result<ViewCostInput> BuildCostInput(
+    const DeltaView& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids) {
+  return BuildCostInputImpl(view, mkb, renamed_ids);
+}
+
+Result<RelationId> ResolvePricedRelation(
+    const FromItem& f, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids) {
+  for (const auto& [post, pre] : renamed_ids) {
+    if (f.relation == post.relation && (f.site.empty() || f.site == post.site)) {
+      return pre;
+    }
+  }
+  if (!f.site.empty()) return RelationId{f.site, f.relation};
+  return mkb.ResolveName(f.relation);
 }
 
 }  // namespace eve

@@ -23,6 +23,7 @@
 #define EVE_QC_COST_MODEL_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -102,13 +103,29 @@ Result<CostFactors> SingleUpdateCost(const ViewCostInput& input,
 /// read from the statistics store, and the local selectivity is the
 /// relation's registered selectivity when the view places at least one
 /// local condition on it (1.0 otherwise).
-Result<ViewCostInput> BuildCostInput(const ViewDefinition& view,
-                                     const MetaKnowledgeBase& mkb);
+///
+/// `renamed_ids` is a rewriting's renamed_relation_ids: FROM items it names
+/// by their post-change id are priced by the pre-change id (see
+/// ResolvePricedRelation).
+Result<ViewCostInput> BuildCostInput(
+    const ViewDefinition& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids = {});
 
 /// Delta-native variant over a compiled (base, delta) overlay
 /// (esql/view_delta.h), so candidate scoring never materializes the view.
-Result<ViewCostInput> BuildCostInput(const DeltaView& view,
-                                     const MetaKnowledgeBase& mkb);
+Result<ViewCostInput> BuildCostInput(
+    const DeltaView& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids = {});
+
+/// The relation whose MKB statistics price FROM item `f`.  An item that
+/// `renamed_ids` (post-change -> pre-change id) renames resolves to its
+/// pre-change id: a rename rewriting is ranked before the MKB learns the
+/// new name, and a rename changes no statistics.  Otherwise a site-
+/// qualified item is its own id and a bare name goes through
+/// MetaKnowledgeBase::ResolveName.
+Result<RelationId> ResolvePricedRelation(
+    const FromItem& f, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids);
 
 /// The closed-form message count of §6.2 (excludes the notification):
 /// 0 / 2 / 2(m-1) / 2m depending on m and n1.

@@ -7,6 +7,7 @@
 #include "algebra/common_subset.h"
 #include "common/str_util.h"
 #include "misd/overlap_estimator.h"
+#include "qc/cost_model.h"
 
 namespace eve {
 
@@ -71,19 +72,16 @@ void FillTotals(QualityBreakdown* q, const QcParameters& params) {
 }
 
 template <typename View>
-Result<double> EstimateViewSizeImpl(const View& view,
-                                    const MetaKnowledgeBase& mkb) {
+Result<double> EstimateViewSizeImpl(
+    const View& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids) {
   double size = 1.0;
   const double js = mkb.stats().join_selectivity();
   int m = 0;
   for (int i = 0; i < FromSize(view); ++i) {
     const FromItem& f = FromAt(view, i);
-    RelationId id;
-    if (!f.site.empty()) {
-      id = RelationId{f.site, f.relation};
-    } else {
-      EVE_ASSIGN_OR_RETURN(id, mkb.ResolveName(f.relation));
-    }
+    EVE_ASSIGN_OR_RETURN(const RelationId id,
+                         ResolvePricedRelation(f, mkb, renamed_ids));
     EVE_ASSIGN_OR_RETURN(RelationStats stats, mkb.stats().Get(id));
     size *= static_cast<double>(stats.cardinality);
     if (!view.LocalConjunction(f.name()).IsTrue()) {
@@ -97,14 +95,16 @@ Result<double> EstimateViewSizeImpl(const View& view,
 
 }  // namespace
 
-Result<double> EstimateViewSize(const ViewDefinition& view,
-                                const MetaKnowledgeBase& mkb) {
-  return EstimateViewSizeImpl(view, mkb);
+Result<double> EstimateViewSize(
+    const ViewDefinition& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids) {
+  return EstimateViewSizeImpl(view, mkb, renamed_ids);
 }
 
-Result<double> EstimateViewSize(const DeltaView& view,
-                                const MetaKnowledgeBase& mkb) {
-  return EstimateViewSizeImpl(view, mkb);
+Result<double> EstimateViewSize(
+    const DeltaView& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids) {
+  return EstimateViewSizeImpl(view, mkb, renamed_ids);
 }
 
 namespace {
@@ -127,6 +127,7 @@ inline const PcEdge& EdgeOf(const CandidateReplacement& rec) {
 template <typename View, typename Record>
 Result<std::pair<double, bool>> EstimateOverlapSize(
     const View& rewritten, const std::vector<Record>& replacements,
+    const std::map<RelationId, RelationId>& renamed_ids,
     const MetaKnowledgeBase& mkb) {
   // Replacement overlap per replacement-relation id.
   std::map<RelationId, OverlapEstimate> overlap_of;
@@ -143,12 +144,8 @@ Result<std::pair<double, bool>> EstimateOverlapSize(
   int m = 0;
   for (int i = 0; i < FromSize(rewritten); ++i) {
     const FromItem& f = FromAt(rewritten, i);
-    RelationId id;
-    if (!f.site.empty()) {
-      id = RelationId{f.site, f.relation};
-    } else {
-      EVE_ASSIGN_OR_RETURN(id, mkb.ResolveName(f.relation));
-    }
+    EVE_ASSIGN_OR_RETURN(const RelationId id,
+                         ResolvePricedRelation(f, mkb, renamed_ids));
     const auto it = overlap_of.find(id);
     if (it != overlap_of.end()) {
       size *= it->second.size;
@@ -178,6 +175,7 @@ template <typename View, typename Record>
 Result<QualityBreakdown> EstimateQualityImpl(
     const ViewDefinition& original, const View& view, ExtentRel extent_relation,
     bool extent_exact, const std::vector<Record>& replacements,
+    const std::map<RelationId, RelationId>& renamed_ids,
     const MetaKnowledgeBase& mkb, const QcParameters& params) {
   EVE_RETURN_IF_ERROR(params.Validate());
   QualityBreakdown q;
@@ -188,7 +186,8 @@ Result<QualityBreakdown> EstimateQualityImpl(
   // expensive overlap estimation (paper Eqs. 16/17: for subset/superset
   // rewritings only one term needs computing, from sizes alone).
   EVE_ASSIGN_OR_RETURN(const double size_old, EstimateViewSize(original, mkb));
-  EVE_ASSIGN_OR_RETURN(const double size_new, EstimateViewSizeImpl(view, mkb));
+  EVE_ASSIGN_OR_RETURN(const double size_new,
+                       EstimateViewSizeImpl(view, mkb, renamed_ids));
   q.exact = extent_exact;
   switch (extent_relation) {
     case ExtentRel::kEqual:
@@ -207,7 +206,8 @@ Result<QualityBreakdown> EstimateQualityImpl(
       break;
     case ExtentRel::kUnknown: {
       EVE_ASSIGN_OR_RETURN(const auto overlap,
-                           EstimateOverlapSize(view, replacements, mkb));
+                           EstimateOverlapSize(view, replacements, renamed_ids,
+                                               mkb));
       q.exact = q.exact && overlap.second;
       q.dd_ext_d1 = 1.0 - SafeRatio(overlap.first, size_old);
       q.dd_ext_d2 = 1.0 - SafeRatio(overlap.first, size_new);
@@ -226,7 +226,8 @@ Result<QualityBreakdown> EstimateQuality(const ViewDefinition& original,
                                          const QcParameters& params) {
   return EstimateQualityImpl(original, rewriting.definition,
                              rewriting.extent_relation, rewriting.extent_exact,
-                             rewriting.replacements, mkb, params);
+                             rewriting.replacements,
+                             rewriting.renamed_relation_ids, mkb, params);
 }
 
 Result<QualityBreakdown> EstimateQuality(const ViewDefinition& original,
@@ -236,7 +237,7 @@ Result<QualityBreakdown> EstimateQuality(const ViewDefinition& original,
                                          const QcParameters& params) {
   return EstimateQualityImpl(original, view, candidate.extent_relation,
                              candidate.extent_exact, candidate.replacements,
-                             mkb, params);
+                             candidate.renamed_relation_ids, mkb, params);
 }
 
 Result<QualityBreakdown> MeasureQuality(const ViewDefinition& original,

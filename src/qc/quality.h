@@ -22,6 +22,7 @@
 #ifndef EVE_QC_QUALITY_H_
 #define EVE_QC_QUALITY_H_
 
+#include <map>
 #include <string>
 
 #include "common/result.h"
@@ -83,12 +84,15 @@ Result<QualityBreakdown> MeasureQuality(const ViewDefinition& original,
 /// with sigma_i applied only for relations the view locally restricts
 /// (§5.4.3, "the size of a view can be estimated by looking at its view
 /// definition").
-Result<double> EstimateViewSize(const ViewDefinition& view,
-                                const MetaKnowledgeBase& mkb);
+/// `renamed_ids` as for BuildCostInput (qc/cost_model.h).
+Result<double> EstimateViewSize(
+    const ViewDefinition& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids = {});
 
 /// Delta-native variant over a compiled (base, delta) overlay.
-Result<double> EstimateViewSize(const DeltaView& view,
-                                const MetaKnowledgeBase& mkb);
+Result<double> EstimateViewSize(
+    const DeltaView& view, const MetaKnowledgeBase& mkb,
+    const std::map<RelationId, RelationId>& renamed_ids = {});
 
 }  // namespace eve
 

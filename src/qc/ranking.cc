@@ -71,7 +71,8 @@ Result<std::vector<RankedRewriting>> QcModel::Rank(
     EVE_ASSIGN_OR_RETURN(ranked.quality,
                          EstimateQuality(original, rw, mkb, params_));
     EVE_ASSIGN_OR_RETURN(ViewCostInput input,
-                         BuildCostInput(rw.definition, mkb));
+                         BuildCostInput(rw.definition, mkb,
+                                        rw.renamed_relation_ids));
     EVE_ASSIGN_OR_RETURN(ranked.cost,
                          ComputeWorkloadCost(input, workload_, cost_options_));
     ranked.weighted_cost = ranked.cost.Weighted(params_);
@@ -113,7 +114,7 @@ Result<std::vector<RankedRewriting>> QcModel::RankCandidates(
       return;
     }
     ranked.quality = std::move(quality).value();
-    auto input = BuildCostInput(view, mkb);
+    auto input = BuildCostInput(view, mkb, c.renamed_relation_ids);
     if (!input.ok()) {
       statuses[i] = input.status();
       return;

@@ -192,6 +192,7 @@ Rewriting RewriteCandidate::ToRewriting() const& {
   out.replacements = MaterializeReplacements(replacements);
   out.renamed_attributes = renamed_attributes;
   out.renamed_relations = renamed_relations;
+  out.renamed_relation_ids = renamed_relation_ids;
   out.dropped_attributes = dropped_attributes;
   out.dropped_conditions = dropped_conditions;
   out.notes = RenderNotes(notes);
@@ -211,6 +212,7 @@ Rewriting RewriteCandidate::ToRewriting(ViewDefinition definition) && {
   out.replacements = MaterializeReplacements(replacements);
   out.renamed_attributes = std::move(renamed_attributes);
   out.renamed_relations = std::move(renamed_relations);
+  out.renamed_relation_ids = std::move(renamed_relation_ids);
   out.dropped_attributes = std::move(dropped_attributes);
   out.dropped_conditions = std::move(dropped_conditions);
   out.notes = RenderNotes(notes);

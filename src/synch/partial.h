@@ -123,6 +123,7 @@ struct RewriteCandidate {
   std::vector<CandidateReplacement> replacements;
   std::map<RelAttr, RelAttr> renamed_attributes;
   std::map<std::string, std::string> renamed_relations;
+  std::map<RelationId, RelationId> renamed_relation_ids;
   std::vector<std::string> dropped_attributes;
   std::vector<std::string> dropped_conditions;
   std::vector<NoteTemplate> notes;      ///< Rendered only in ToRewriting.

@@ -53,6 +53,10 @@ struct Rewriting {
   /// ("fromName.attr" / FROM names).
   std::map<RelAttr, RelAttr> renamed_attributes;
   std::map<std::string, std::string> renamed_relations;
+  /// The same relation renames by id, post-change -> pre-change (aliased
+  /// FROM items included).  The QC model prices a renamed FROM item by its
+  /// pre-change id: ranking runs before the MKB learns the new name.
+  std::map<RelationId, RelationId> renamed_relation_ids;
   /// Output names of SELECT items dropped relative to the original view.
   std::vector<std::string> dropped_attributes;
   /// Rendered WHERE clauses dropped relative to the original view.

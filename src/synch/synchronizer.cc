@@ -387,6 +387,8 @@ class ViewSynchronizer::Impl {
     p.cand.notes.push_back(
         NoteTemplate::RelationRenamed(rr.relation, rr.new_name));
     p.cand.renamed_relations = std::move(rel_map);
+    p.cand.renamed_relation_ids[RelationId{rr.relation.site, rr.new_name}] =
+        rr.relation;
     return p;
   }
 

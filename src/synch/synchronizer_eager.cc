@@ -257,6 +257,8 @@ class EagerImpl {
                       rr.new_name);
     Rewriting out = ToRewriting(std::move(p));
     out.renamed_relations = rel_map;
+    out.renamed_relation_ids[RelationId{rr.relation.site, rr.new_name}] =
+        rr.relation;
     return out;
   }
 

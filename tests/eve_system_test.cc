@@ -269,5 +269,58 @@ TEST(EveSystemBasics, UnaffectedViewsUntouchedByChanges) {
   EXPECT_EQ(eve.GetViewState("V").value(), ViewState::kAlive);
 }
 
+// Renaming a relation that a view references: the rename rewriting names
+// the relation by its new name while QC prices it against the pre-change
+// MKB, so its FROM items must resolve to the pre-change id.  The view stays
+// alive on a definition naming R2, with its extent unchanged.
+void ExpectRenameKeepsView(const std::string& view_text) {
+  EveSystem eve;
+  ASSERT_TRUE(eve.RegisterRelation(
+                     "IS1", MakeRelation("R", {"K", "A"},
+                                         {{1, 10}, {2, 20}, {3, 30}}))
+                  .ok());
+  ASSERT_TRUE(eve.RegisterRelation(
+                     "IS2", MakeRelation("S", {"K", "B"}, {{1, 100}, {3, 300}}))
+                  .ok());
+  ASSERT_TRUE(eve.DefineView(view_text).ok()) << view_text;
+  const Relation before = eve.GetViewExtent("V").value();
+
+  const auto report = eve.NotifySchemaChange(
+      SchemaChange(RenameRelation{RelationId{"IS1", "R"}, "R2"}));
+  ASSERT_TRUE(report.ok()) << view_text << ": " << report.status().ToString();
+  ASSERT_EQ(report->views.size(), 1u) << view_text;
+  EXPECT_EQ(report->views[0].resulting_state, ViewState::kAlive) << view_text;
+
+  const ViewDefinition def = eve.GetViewDefinition("V").value();
+  int renamed_items = 0;
+  for (const FromItem& f : def.from_items) {
+    EXPECT_NE(f.relation, "R") << view_text;
+    renamed_items += f.relation == "R2" ? 1 : 0;
+  }
+  EXPECT_EQ(renamed_items, 1) << view_text;
+  const auto after = eve.GetViewExtent("V");
+  ASSERT_TRUE(after.ok()) << view_text;
+  EXPECT_TRUE(SetEquals(before, *after)) << view_text;
+}
+
+TEST(EveSystemRename, ReferencedRelationQualifiedNames) {
+  ExpectRenameKeepsView("CREATE VIEW V AS SELECT R.K, R.A FROM IS1.R");
+  ExpectRenameKeepsView(
+      "CREATE VIEW V AS SELECT R.K, R.A, S.B FROM IS1.R, IS2.S "
+      "WHERE R.K = S.K");
+}
+
+TEST(EveSystemRename, ReferencedRelationBareNames) {
+  ExpectRenameKeepsView("CREATE VIEW V AS SELECT R.K, R.A FROM R");
+  ExpectRenameKeepsView(
+      "CREATE VIEW V AS SELECT R.K, R.A, S.B FROM R, S WHERE R.K = S.K");
+}
+
+TEST(EveSystemRename, ReferencedRelationUnderAlias) {
+  ExpectRenameKeepsView("CREATE VIEW V AS SELECT X.K, X.A FROM IS1.R X");
+  ExpectRenameKeepsView(
+      "CREATE VIEW V AS SELECT X.K, X.A, S.B FROM R X, S WHERE X.K = S.K");
+}
+
 }  // namespace
 }  // namespace eve

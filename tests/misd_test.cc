@@ -50,6 +50,39 @@ TEST_F(MkbTest, ResolveNameDetectsAmbiguity) {
             StatusCode::kFailedPrecondition);
 }
 
+// The bare-name index follows every mutator that changes the id set.
+TEST_F(MkbTest, ResolveNameFollowsRenamesAndReRegistration) {
+  // Renaming IS2.S onto a name IS1 already uses makes it ambiguous, and the
+  // old name disappears.
+  ASSERT_TRUE(mkb_.RenameRelation(RelationId{"IS2", "S"}, "R").ok());
+  const auto ambiguous = mkb_.ResolveName("R");
+  EXPECT_EQ(ambiguous.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ambiguous.status().message(),
+            "relation name R is ambiguous across sites");
+  const auto gone = mkb_.ResolveName("S");
+  EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(gone.status().message(), "relation S not in MKB");
+
+  // Renaming one of them away resolves both names again.
+  ASSERT_TRUE(mkb_.RenameRelation(RelationId{"IS1", "R"}, "T").ok());
+  EXPECT_EQ(mkb_.ResolveName("R").value(), (RelationId{"IS2", "R"}));
+  EXPECT_EQ(mkb_.ResolveName("T").value(), (RelationId{"IS1", "T"}));
+
+  // Unregister, then re-register the same name at another site: unique.
+  ASSERT_TRUE(mkb_.UnregisterRelation(RelationId{"IS2", "R"}).ok());
+  EXPECT_EQ(mkb_.ResolveName("R").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(
+      mkb_.RegisterRelation(RelationId{"IS3", "R"}, IntSchema({"A"})).ok());
+  EXPECT_EQ(mkb_.ResolveName("R").value(), (RelationId{"IS3", "R"}));
+  // Re-registering at the first site makes it ambiguous again.
+  ASSERT_TRUE(
+      mkb_.RegisterRelation(RelationId{"IS2", "R"}, IntSchema({"A"})).ok());
+  EXPECT_EQ(mkb_.ResolveName("R").status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(mkb_.UnregisterRelation(RelationId{"IS3", "R"}).ok());
+  EXPECT_EQ(mkb_.ResolveName("R").value(), (RelationId{"IS2", "R"}));
+}
+
 TEST_F(MkbTest, StatsStore) {
   const auto stats = mkb_.stats().Get(RelationId{"IS1", "R"});
   ASSERT_TRUE(stats.ok());

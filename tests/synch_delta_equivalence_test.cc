@@ -53,6 +53,7 @@ void ExpectRewritingsEqual(const Rewriting& a, const Rewriting& b) {
   EXPECT_EQ(a.extent_exact, b.extent_exact);
   EXPECT_EQ(a.renamed_attributes, b.renamed_attributes);
   EXPECT_EQ(a.renamed_relations, b.renamed_relations);
+  EXPECT_EQ(a.renamed_relation_ids, b.renamed_relation_ids);
   EXPECT_EQ(a.dropped_attributes, b.dropped_attributes);
   EXPECT_EQ(a.dropped_conditions, b.dropped_conditions);
   EXPECT_EQ(a.strategy, b.strategy);
