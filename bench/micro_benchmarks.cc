@@ -817,6 +817,36 @@ void BM_BatchedErase(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedErase)->Arg(4096);
 
+// One fact delete's derivations against a whole extent: a handful of
+// victims (every row sharing one column-0 key) erased from an extent of
+// N two-column rows.  The column-0 prefilter keeps the full-tuple hashing
+// to the candidate rows, so the cost is one key-column hash scan plus the
+// compaction.
+void BM_EraseBatchFewVictims(benchmark::State& state) {
+  Random rng(59);
+  GeneratorOptions gen;
+  gen.cardinality = state.range(0);
+  gen.num_attributes = 2;
+  gen.key_domain = state.range(0) / 4;
+  const Relation base = GenerateRelation("R", gen, &rng);
+  const Value key = base.ValueAt(base.cardinality() / 2, 0);
+  std::vector<Tuple> victims;
+  for (int64_t row = 0; row < base.cardinality(); ++row) {
+    if (base.ValueAt(row, 0) == key) victims.push_back(base.TupleAt(row));
+  }
+  int64_t rounds = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Relation rel = base;
+    state.ResumeTiming();
+    const int64_t removed = rel.EraseBatch(victims);
+    benchmark::DoNotOptimize(removed);
+    ++rounds;
+  }
+  state.SetItemsProcessed(rounds * static_cast<int64_t>(victims.size()));
+}
+BENCHMARK(BM_EraseBatchFewVictims)->Arg(10000)->Arg(80000);
+
 // Hash-index build: one Value hashed + one bucket append per row.
 void BM_HashIndexBuild(benchmark::State& state) {
   Random rng(41);

@@ -208,6 +208,7 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
     ViewSynchronizationReport view_report;
     bool dead = false;
     ViewDefinition chosen;  ///< The adopted definition (affected && !dead).
+    bool pure_rename = false;  ///< The adopted rewriting only renames.
     PolicyAction action = PolicyAction::kFull;
     int64_t considered = 0;  ///< Enumeration work spent on this view.
   };
@@ -257,9 +258,12 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
     const bool dead = affected && sync.candidates.empty() && !truncated;
     ViewDefinition first_legal;
     ViewDefinition ranker_choice;
+    bool first_legal_renames = false;
+    bool ranker_choice_renames = false;
     if (affected && !sync.candidates.empty()) {
       if (options_.adopt_first_legal) {
         first_legal = sync.candidates.front().Definition();
+        first_legal_renames = sync.candidates.front().IsPureRename();
       }
       if (options_.ranker != nullptr) {
         // Stable argmax of the plugin's scores decides adoption; the QC
@@ -272,6 +276,7 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
           if (scores[s] > scores[pick]) pick = s;
         }
         ranker_choice = sync.candidates[pick].Definition();
+        ranker_choice_renames = sync.candidates[pick].IsPureRename();
       }
       EVE_ASSIGN_OR_RETURN(
           view_report.ranking,
@@ -299,10 +304,14 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
     view_report.resulting_state = ViewState::kAlive;
     if (options_.adopt_first_legal) {
       out.chosen = std::move(first_legal);
+      out.pure_rename = first_legal_renames;
     } else if (!ranker_choice.name.empty()) {
       out.chosen = std::move(ranker_choice);
+      out.pure_rename = ranker_choice_renames;
     } else {
-      out.chosen = view_report.ranking.front().rewriting.definition;
+      const Rewriting& best = view_report.ranking.front().rewriting;
+      out.chosen = best.definition;
+      out.pure_rename = best.IsPureRename();
     }
     view_report.adopted = PrintViewCompact(out.chosen);
     return Status::OK();
@@ -326,6 +335,7 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
   struct Pending {
     std::string view;
     ViewDefinition new_def;
+    bool pure_rename;
   };
   std::vector<Pending> adoptions;
   std::vector<std::string> deaths;
@@ -353,7 +363,8 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
       if (out.dead) {
         deaths.push_back(candidates[i]);
       } else {
-        adoptions.push_back(Pending{candidates[i], std::move(out.chosen)});
+        adoptions.push_back(
+            Pending{candidates[i], std::move(out.chosen), out.pure_rename});
       }
     }
     report.views.push_back(std::move(out.view_report));
@@ -369,14 +380,19 @@ Result<ChangeReport> EveSystem::NotifySchemaChange(const SchemaChange& change) {
                        space_.ApplySchemaChange(change, &mkb_));
   plan_cache_.Clear();
 
-  // 5. Adopt rewritings and rematerialize; record deaths.
+  // 5. Adopt rewritings and rematerialize; record deaths.  A pure-rename
+  // rewriting computes the very same bag under the same output names (≡,
+  // see Rewriting::IsPureRename), so its adoption keeps a materialized
+  // extent as it is; every other adoption, and any view without an
+  // extent, recomputes.
   for (const std::string& view_name : deaths) {
     EVE_RETURN_IF_ERROR(vkb_.MarkDead(view_name, report.change));
   }
   for (Pending& p : adoptions) {
-    EVE_RETURN_IF_ERROR(
-        vkb_.ReplaceDefinition(p.view, std::move(p.new_def), report.change));
-    if (options_.materialize) {
+    EVE_RETURN_IF_ERROR(vkb_.ReplaceDefinition(
+        p.view, std::move(p.new_def), report.change, p.pure_rename));
+    EVE_ASSIGN_OR_RETURN(const ViewEntry* entry, vkb_.Get(p.view));
+    if (options_.materialize && !entry->materialized) {
       EVE_RETURN_IF_ERROR(Materialize(p.view));
     }
   }

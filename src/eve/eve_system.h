@@ -118,8 +118,10 @@ struct EveOptions {
   /// and MKB (a stop there leaves the change committed, the failing view
   /// on its new definition with a stale extent, and later adopted views on
   /// their old definitions), and NotifyDataUpdate maintains view by view
-  /// (a stop leaves some extents maintained and the rest not).
-  /// ROADMAP item 5 tracks the staged all-or-nothing commit.
+  /// (a stop leaves some extents maintained and the rest not).  A later
+  /// pure-rename adoption keeps such a stale extent as it is: only a
+  /// recomputing adoption replaces it.  ROADMAP item 5 tracks the staged
+  /// all-or-nothing commit.
   const ExecContext* exec = nullptr;
 
   /// Checks cross-field consistency: max_rewritings positive,

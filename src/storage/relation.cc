@@ -193,7 +193,10 @@ Tuple Relation::ConcatRow(const Tuple& prefix, int64_t row) const {
 
 void Relation::ReplaceSchema(Schema schema) {
   EVE_CHECK(schema.size() == schema_.size());
-  MarkMutated();
+  // The caches are keyed by column position and hold row ids, key values
+  // and value hashes, none of which a rename touches: keep them, and bump
+  // only the version so prepared plans re-resolve the names.
+  BumpVersion();
   schema_ = std::move(schema);
 }
 
@@ -280,28 +283,66 @@ int64_t Relation::EraseBatch(const std::vector<Tuple>& victims) {
   // the scan below consumes the first non-exhausted equal entry per
   // matching row, which removes exactly the first count(v) occurrences of
   // each distinct victim in row order -- the same multiset repeated single
-  // Erase calls would remove, in one pass.
+  // Erase calls would remove, in one pass.  Alongside, a bitmap of about
+  // eight bits per victim records the victims' column-0 value hashes.
   struct Want {
     const Tuple* tuple;
     bool used;
   };
   std::unordered_map<size_t, std::vector<Want>> wanted;
   wanted.reserve(victims.size());
+  size_t bits = 64;
+  while (bits < victims.size() * 8) bits <<= 1;
+  const size_t bit_mask = bits - 1;
+  std::vector<uint64_t> key_bits(bits / 64, 0);
   size_t eligible = 0;
   for (const Tuple& t : victims) {
-    if (t.size() != static_cast<int>(columns_.size())) continue;
+    if (t.size() != width()) continue;
     wanted[t.Hash()].push_back(Want{&t, false});
+    if (t.size() > 0) {
+      const size_t b = t.at(0).Hash() & bit_mask;
+      key_bits[b / 64] |= uint64_t{1} << (b % 64);
+    }
     ++eligible;
   }
   if (eligible == 0) return 0;
-  // One hash column for the whole scan; computed fresh rather than through
-  // TupleHashes() so a no-op batch leaves the caches untouched.
-  const std::vector<size_t> hashes = ComputeTupleHashes();
+  // Candidates: the rows whose column-0 hash hits the bitmap, found in one
+  // column scan.  Value::Hash agrees with Value == (NULL, NaN, INT 3 vs
+  // DOUBLE 3.0, cross-pool strings), so no matching row is missed; false
+  // positives only cost a full-tuple hash below.  A zero-width relation
+  // has no column 0, and every row is a candidate.
+  std::vector<int64_t> candidates;
+  std::vector<size_t> hashes;
+  if (width() == 0) {
+    candidates.resize(static_cast<size_t>(rows_));
+    for (int64_t row = 0; row < rows_; ++row) {
+      candidates[static_cast<size_t>(row)] = row;
+    }
+    hashes.assign(candidates.size(), kTupleHashBasis);
+  } else {
+    std::vector<size_t> key_hashes(static_cast<size_t>(rows_));
+    HashColumn(*columns_[0], key_hashes.data());
+    for (int64_t row = 0; row < rows_; ++row) {
+      const size_t h = key_hashes[static_cast<size_t>(row)];
+      const size_t b = h & bit_mask;
+      if (((key_bits[b / 64] >> (b % 64)) & 1) == 0) continue;
+      candidates.push_back(row);
+      // Column 0's step of the tuple hash (Tuple::Hash's FNV fold).
+      hashes.push_back((kTupleHashBasis ^ h) * kTupleHashPrime);
+    }
+  }
+  // Full tuple hashes of the candidates only; computed fresh rather than
+  // through TupleHashes() so a no-op batch leaves the caches untouched.
+  const int64_t n = static_cast<int64_t>(candidates.size());
+  for (size_t c = 1; c < columns_.size(); ++c) {
+    MixHashColumnGather(*columns_[c], candidates.data(), n, hashes.data());
+  }
   std::vector<int64_t> doomed;
   size_t remaining = eligible;
-  for (int64_t row = 0; row < rows_ && remaining > 0; ++row) {
-    const auto it = wanted.find(hashes[static_cast<size_t>(row)]);
+  for (int64_t i = 0; i < n && remaining > 0; ++i) {
+    const auto it = wanted.find(hashes[static_cast<size_t>(i)]);
     if (it == wanted.end()) continue;
+    const int64_t row = candidates[static_cast<size_t>(i)];
     for (Want& w : it->second) {
       if (w.used || !RowEqualsTuple(row, *w.tuple)) continue;
       w.used = true;

@@ -112,8 +112,9 @@ class Relation {
   const Schema& schema() const { return schema_; }
 
   /// Replaces the schema without touching the stored columns (attribute
-  /// renames); arities must match.  Counts as a mutation, so cached
-  /// indexes, hash columns, and prepared plans are invalidated.
+  /// renames); arities must match.  Bumps version(), so prepared plans
+  /// revalidate and replan, but keeps the cached indexes and tuple-hash
+  /// column: they depend on values and column positions, not on names.
   void ReplaceSchema(Schema schema);
 
   /// Widens the relation by one attribute backed by an all-NULL column
@@ -164,11 +165,11 @@ class Relation {
   uint64_t identity() const { return identity_.load(std::memory_order_acquire); }
 
   /// Mutation counter of this instance; bumped by every AddTuple / Insert /
-  /// Erase / EraseBatch / Clear.  Two observations with equal (identity,
-  /// version) saw identical data.  Stamps are atomic so a concurrent plan
-  /// revalidation reads a consistent value, but a reader racing a mutation
-  /// may see either stamp -- observing the tuple store itself still
-  /// requires the single-writer contract above.
+  /// Erase / EraseBatch / Clear / ReplaceSchema.  Two observations with
+  /// equal (identity, version) saw identical data and names.  Stamps are
+  /// atomic so a concurrent plan revalidation reads a consistent value, but
+  /// a reader racing a mutation may see either stamp -- observing the tuple
+  /// store itself still requires the single-writer contract above.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   /// Appends a tuple after checking arity and type conformance.
@@ -186,12 +187,14 @@ class Relation {
   int64_t Erase(const Tuple& t, bool all_occurrences = false);
 
   /// Removes one occurrence per victim (first matching row in scan order,
-  /// exactly as repeated single Erase calls would) in ONE compaction pass:
-  /// victims are hash-bucketed, matching rows are tombstoned during a
-  /// single scan against the fresh tuple-hash column, and every column
-  /// compacts once.  Returns the number of removed rows; a batch that
-  /// matches nothing is a no-op (no version bump).  The maintenance delete
-  /// sweeps call this instead of O(victims) full scans.
+  /// exactly as repeated single Erase calls would) in ONE compaction pass.
+  /// Two passes find the victims: one hash scan of column 0 against a
+  /// bitmap of the victims' column-0 hashes picks the candidate rows, and
+  /// only those get a full tuple hash and a probe of the hash-bucketed
+  /// victims.  Every column then compacts once.  Returns the number of
+  /// removed rows; a batch that matches nothing is a no-op (no version
+  /// bump).  The maintenance delete sweeps call this instead of
+  /// O(victims) full scans.
   int64_t EraseBatch(const std::vector<Tuple>& victims);
 
   void Clear();
@@ -204,9 +207,10 @@ class Relation {
   bool RowEqualsTuple(int64_t row, const Tuple& t) const;
 
   /// Cached equality index on `column`, built on first use and dropped by
-  /// any mutation (Insert / AddTuple / Erase / Clear).  Copies of the
-  /// relation share the already-built (immutable) indexes.  Thread-safe:
-  /// concurrent first-use builds are serialized by the cache mutex.
+  /// any data mutation (Insert / AddTuple / Erase / Clear; a ReplaceSchema
+  /// rename keeps it).  Copies of the relation share the already-built
+  /// (immutable) indexes.  Thread-safe: concurrent first-use builds are
+  /// serialized by the cache mutex.
   const HashIndex& Index(int column) const;
 
   /// As Index(), but returns the shared handle so a prepared plan or a
@@ -220,8 +224,9 @@ class Relation {
   void WarmIndexes(const std::vector<int>& columns) const;
 
   /// Cached per-row tuple hashes (hashes[i] == TupleAt(i).Hash()), built on
-  /// first use and dropped by any mutation.  The shared_ptr keeps the
-  /// column alive across a concurrent invalidation.  Thread-safe.
+  /// first use and dropped by any data mutation (not by ReplaceSchema).
+  /// The shared_ptr keeps the column alive across a concurrent
+  /// invalidation.  Thread-safe.
   std::shared_ptr<const std::vector<size_t>> TupleHashes() const;
 
   /// Uncached hash-column computation (column-wise FNV mixing; what
@@ -260,9 +265,12 @@ class Relation {
   // skipped entirely unless a cache was actually built -- result
   // materialization inserts row by row and must not pay a lock or an
   // atomic RMW per tuple.
-  void MarkMutated() {
+  void BumpVersion() {
     version_.store(version_.load(std::memory_order_relaxed) + 1,
                    std::memory_order_release);
+  }
+  void MarkMutated() {
+    BumpVersion();
     if (caches_present_.load(std::memory_order_acquire)) DropCaches();
   }
 

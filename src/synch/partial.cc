@@ -200,6 +200,11 @@ Rewriting RewriteCandidate::ToRewriting() const& {
   return out;
 }
 
+bool RewriteCandidate::IsPureRename() const {
+  return JoinStrategies(strategies) == "rename" && replacements.empty() &&
+         dropped_attributes.empty() && dropped_conditions.empty();
+}
+
 Rewriting RewriteCandidate::ToRewriting() && {
   return std::move(*this).ToRewriting(MaterializeOnce(materialized_, base, ops));
 }

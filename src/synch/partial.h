@@ -144,6 +144,10 @@ struct RewriteCandidate {
   /// candidate.
   const ViewDefinition& Definition() const;
 
+  /// Rewriting::IsPureRename() of the converted candidate, without
+  /// converting it.
+  bool IsPureRename() const;
+
   /// Converts to the public Rewriting (materialized definition + provenance,
   /// strategy tags joined with '+' and deduplicated in first-seen order,
   /// exactly as the eager pipeline produced them).

@@ -5,6 +5,11 @@
 
 namespace eve {
 
+bool Rewriting::IsPureRename() const {
+  return strategy == "rename" && replacements.empty() &&
+         dropped_attributes.empty() && dropped_conditions.empty();
+}
+
 std::string Rewriting::Summary() const {
   std::string out = "[" + strategy + ", extent " +
                     std::string(ExtentRelToString(extent_relation)) +

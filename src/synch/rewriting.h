@@ -68,6 +68,12 @@ struct Rewriting {
   /// Human-readable derivation notes.
   std::vector<std::string> notes;
 
+  /// True when the rewriting only renames references: strategy "rename",
+  /// no substitutions, no drops.  Such a rewriting computes exactly the
+  /// original's extent under the original's output names (≡ without any
+  /// constraint), so an adoption can keep the materialized extent.
+  bool IsPureRename() const;
+
   /// Compact description for reports.
   std::string Summary() const;
 };

@@ -94,7 +94,8 @@ Status ViewKnowledgeBase::SetExtent(const std::string& name, Relation extent) {
 
 Status ViewKnowledgeBase::ReplaceDefinition(const std::string& name,
                                             ViewDefinition new_def,
-                                            const std::string& trigger) {
+                                            const std::string& trigger,
+                                            bool keep_extent) {
   EVE_RETURN_IF_ERROR(new_def.Validate());
   EVE_ASSIGN_OR_RETURN(ViewEntry * entry, GetMutable(name));
   EvolutionRecord record;
@@ -104,7 +105,7 @@ Status ViewKnowledgeBase::ReplaceDefinition(const std::string& name,
   entry->history.push_back(std::move(record));
   entry->definition = std::move(new_def);
   entry->state = ViewState::kAlive;
-  entry->materialized = false;  // Extent must be recomputed.
+  if (!keep_extent) entry->materialized = false;
   Touch();
   return Status::OK();
 }

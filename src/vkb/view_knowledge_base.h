@@ -83,8 +83,13 @@ class ViewKnowledgeBase {
   Status SetExtent(const std::string& name, Relation extent);
 
   /// Replaces the definition after a synchronization step and logs history.
+  /// The stored extent no longer counts as materialized and must be
+  /// recomputed, unless `keep_extent`: the caller vouches that the new
+  /// definition computes exactly the stored extent (a pure-rename
+  /// adoption), and the extent and its `materialized` flag stay as they are.
   Status ReplaceDefinition(const std::string& name, ViewDefinition new_def,
-                           const std::string& trigger);
+                           const std::string& trigger,
+                           bool keep_extent = false);
 
   /// Marks a view dead, logging the terminal history record.
   Status MarkDead(const std::string& name, const std::string& trigger);

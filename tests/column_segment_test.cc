@@ -748,6 +748,41 @@ Relation MixedRelation() {
   return rel;
 }
 
+// EraseBatch against one single Erase per victim: the same count and,
+// order-sensitively, the same surviving rows.
+void ExpectBatchMatchesSequential(const Relation& base,
+                                  const std::vector<Tuple>& victims,
+                                  const std::string& context) {
+  Relation batched = base;
+  Relation sequential = base;
+  int64_t removed_seq = 0;
+  for (const Tuple& v : victims) removed_seq += sequential.Erase(v);
+  EXPECT_EQ(batched.EraseBatch(victims), removed_seq) << context;
+  EXPECT_GT(removed_seq, 0) << context;
+  const std::vector<Tuple> a = batched.CopyTuples();
+  const std::vector<Tuple> b = sequential.CopyTuples();
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]) << context << ", row " << i;
+  }
+}
+
+// A relation of `n` rows across chunk boundaries: column 0 holds packed
+// ints (i % 97) with NULL, NaN and DOUBLE exceptions, column 1 the row
+// parity.
+Relation ChunkedRelation(int64_t n) {
+  Relation rel("R", Schema({Attribute::Make("K", DataType::kInt64, 10),
+                            Attribute::Make("P", DataType::kInt64, 10)}));
+  for (int64_t i = 0; i < n; ++i) {
+    Value k(i % 97);
+    if (i % 501 == 7) k = Value();
+    if (i % 613 == 11) k = Value(kNaN);
+    if (i % 89 == 5) k = Value(static_cast<double>(i % 97));
+    rel.AddTuple(Tuple{k, Value(i % 2)});
+  }
+  return rel;
+}
+
 TEST(Relation, EraseBatchMatchesSequentialErase) {
   // Victims: duplicates (two equal victims must delete two rows), values
   // with many matching rows (only the first in scan order goes), misses,
@@ -758,26 +793,59 @@ TEST(Relation, EraseBatchMatchesSequentialErase) {
   victims.push_back(Tuple{Value(static_cast<int64_t>(7)), Value("s3")});
   victims.push_back(Tuple{Value(static_cast<int64_t>(99)), Value("s0")});
   victims.push_back(Tuple{Value(), Value("s1")});
-
+  ExpectBatchMatchesSequential(MixedRelation(), victims, "mixed");
   Relation batched = MixedRelation();
-  Relation sequential = MixedRelation();
-  int64_t removed_seq = 0;
-  for (const Tuple& v : victims) removed_seq += sequential.Erase(v);
-  const int64_t removed_batch = batched.EraseBatch(victims);
-
-  EXPECT_EQ(removed_batch, removed_seq);
-  EXPECT_GT(removed_batch, 0);
-  // Order-sensitive comparison: the batch must keep surviving rows in the
-  // exact order sequential erasure leaves them.
-  const std::vector<Tuple> a = batched.CopyTuples();
-  const std::vector<Tuple> b = sequential.CopyTuples();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "row " << i;
-  }
+  ASSERT_GT(batched.EraseBatch(victims), 0);
   // The packed key column survives the compaction packed.
   EXPECT_EQ(batched.Segment(0).encoding(), Encoding::kInt64);
   EXPECT_EQ(batched.Segment(1).encoding(), Encoding::kString);
+
+  // Chunk-boundary sizes.  Column-0 victims: NaN, NULL, INT victims of
+  // DOUBLE rows and DOUBLE victims of INT rows (equal under Value ==, and
+  // equal in Value::Hash), repeated victims, misses, and the last row.
+  for (const int64_t n :
+       {kChunk - 1, kChunk, kChunk + 1, 3 * kChunk + 1}) {
+    const Relation base = ChunkedRelation(n);
+    const std::string context = "n=" + std::to_string(n);
+    std::vector<Tuple> mixed;
+    for (const int64_t p : {int64_t{0}, int64_t{1}}) {
+      mixed.push_back(Tuple{Value(kNaN), Value(p)});
+      mixed.push_back(Tuple{Value(), Value(p)});
+      mixed.push_back(Tuple{Value(static_cast<int64_t>(5)), Value(p)});
+      mixed.push_back(Tuple{Value(6.0), Value(p)});
+      mixed.push_back(Tuple{Value(6.0), Value(p)});
+      mixed.push_back(Tuple{Value(static_cast<int64_t>(500)), Value(p)});
+    }
+    mixed.push_back(base.TupleAt(n - 1));
+    ExpectBatchMatchesSequential(base, mixed, context + ", mixed victims");
+
+    // Every victim shares one column-0 value, so the prefilter passes all
+    // of that value's rows and the full-tuple check alone decides.
+    std::vector<Tuple> one_key;
+    for (int64_t r = 0; r < 5; ++r) {
+      one_key.push_back(Tuple{Value(static_cast<int64_t>(42)), Value(r % 3)});
+    }
+    ExpectBatchMatchesSequential(base, one_key, context + ", one key");
+  }
+
+  // Bitmap false positives: the bitmap holds at least 64 bits, so keys
+  // whose value hash agrees with the victim's in the low six bits pass the
+  // column-0 prefilter without being victims; they must survive, and the
+  // victim must still go.  Distinct keys, so every collision is a key the
+  // full-tuple check rejects.
+  const Value victim_key(static_cast<int64_t>(1000000));
+  Relation colliding("C", Schema({Attribute::Make("K", DataType::kInt64, 10),
+                                  Attribute::Make("P", DataType::kInt64, 10)}));
+  int64_t collisions = 0;
+  for (int64_t k = 0; k < 4 * kChunk; ++k) {
+    const Value key(k);
+    if ((key.Hash() & 63) == (victim_key.Hash() & 63)) ++collisions;
+    colliding.AddTuple(Tuple{key, Value(k % 2)});
+    if (k == 2 * kChunk) colliding.AddTuple(Tuple{victim_key, Value(0)});
+  }
+  ASSERT_GT(collisions, 0);
+  ExpectBatchMatchesSequential(colliding, {Tuple{victim_key, Value(0)}},
+                               "false positives");
 }
 
 TEST(Relation, EraseBatchNoMatchIsNoOp) {

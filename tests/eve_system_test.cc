@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/fault_injection.h"
 #include "eve/eve_system.h"
+#include "maintenance/maintainer.h"
 
 namespace eve {
 namespace {
@@ -320,6 +324,173 @@ TEST(EveSystemRename, ReferencedRelationUnderAlias) {
   ExpectRenameKeepsView("CREATE VIEW V AS SELECT X.K, X.A FROM IS1.R X");
   ExpectRenameKeepsView(
       "CREATE VIEW V AS SELECT X.K, X.A, S.B FROM R X, S WHERE X.K = S.K");
+}
+
+// Rename adoptions keep the materialized extent: a pure-rename rewriting
+// computes the same bag under the same output names (≡), so step 5 of
+// NotifySchemaChange swaps the definition and skips the recompute.  The
+// kept extent must equal, as a bag, a fresh recompute of the new
+// definition, and must keep maintaining correctly afterwards.
+
+// The stored extent against a fresh recompute of the current definition:
+// equal schema names and equal sorted multisets of rows.
+void ExpectExtentMatchesRecompute(const EveSystem& eve,
+                                  const std::string& view,
+                                  const std::string& context) {
+  const ViewEntry* entry = eve.GetViewEntry(view).value();
+  ASSERT_TRUE(entry->materialized) << context;
+  const auto fresh =
+      ViewMaintainer(eve.space()).Recompute(entry->definition);
+  ASSERT_TRUE(fresh.ok()) << context << ": " << fresh.status().ToString();
+  std::vector<std::string> kept_names;
+  std::vector<std::string> fresh_names;
+  for (const Attribute& a : entry->extent.schema().attributes()) {
+    kept_names.push_back(a.name);
+  }
+  for (const Attribute& a : fresh->schema().attributes()) {
+    fresh_names.push_back(a.name);
+  }
+  EXPECT_EQ(kept_names, fresh_names) << context;
+  std::vector<Tuple> kept_rows = entry->extent.CopyTuples();
+  std::vector<Tuple> fresh_rows = fresh->CopyTuples();
+  std::sort(kept_rows.begin(), kept_rows.end());
+  std::sort(fresh_rows.begin(), fresh_rows.end());
+  EXPECT_EQ(kept_rows, fresh_rows) << context;
+}
+
+// Disarms every fault site when a test ends, pass or fail.
+struct FaultReset {
+  ~FaultReset() { FaultInjection::Instance().Reset(); }
+};
+
+// R carries duplicate rows and S duplicate join partners, so the extents
+// hold repeated derivations and bag equality is a real check.  T mirrors S
+// (S ⊆ T), so a view whose S is replaceable survives S's deletion.
+void RegisterCarryOverSpace(EveSystem* eve) {
+  ASSERT_TRUE(eve->RegisterRelation(
+                     "IS1", MakeRelation("R", {"K", "A"},
+                                         {{1, 10}, {1, 10}, {2, 20}, {3, 30}}))
+                  .ok());
+  ASSERT_TRUE(eve->RegisterRelation(
+                     "IS2", MakeRelation("S", {"K", "B"},
+                                         {{1, 100}, {1, 100}, {3, 300}}))
+                  .ok());
+  ASSERT_TRUE(eve->RegisterRelation(
+                     "IS3", MakeRelation("T", {"K", "B"},
+                                         {{1, 100}, {3, 300}, {4, 400}}))
+                  .ok());
+  ASSERT_TRUE(eve->AddPcConstraint(MakeProjectionPc(
+                       RelationId{"IS2", "S"}, RelationId{"IS3", "T"},
+                       {"K", "B"}, PcRelationType::kSubset))
+                  .ok());
+}
+
+// Adopts `change` with maintainer.recompute armed to fail every hit, so a
+// recompute would fail the change; the view must stay alive on its kept
+// extent (same object identity), then maintain an insert and a delete of
+// the row (1, 10) of `relation` correctly.
+void ExpectRenameKeepsExtent(const std::string& view_text,
+                             const SchemaChange& change,
+                             const RelationId& relation) {
+  FaultReset reset;
+  EveSystem eve;
+  RegisterCarryOverSpace(&eve);
+  ASSERT_TRUE(eve.DefineView(view_text).ok()) << view_text;
+  const uint64_t identity_before =
+      eve.GetViewEntry("V").value()->extent.identity();
+  const int64_t rows_before =
+      eve.GetViewEntry("V").value()->extent.cardinality();
+
+  FaultInjection& fi = FaultInjection::Instance();
+  ASSERT_TRUE(fi.ArmFromString("maintainer.recompute=0+*").ok());
+  const auto report = eve.NotifySchemaChange(change);
+  ASSERT_TRUE(report.ok()) << view_text << ": " << report.status().ToString();
+  EXPECT_EQ(fi.HitCount("maintainer.recompute"), 0) << view_text;
+  EXPECT_EQ(fi.FiredCount("maintainer.recompute"), 0) << view_text;
+  fi.Reset();
+  ASSERT_EQ(report->views.size(), 1u) << view_text;
+  EXPECT_EQ(report->views[0].resulting_state, ViewState::kAlive) << view_text;
+
+  const ViewEntry* entry = eve.GetViewEntry("V").value();
+  EXPECT_EQ(entry->extent.identity(), identity_before) << view_text;
+  EXPECT_EQ(entry->extent.cardinality(), rows_before) << view_text;
+  ExpectExtentMatchesRecompute(eve, "V", view_text + " after the rename");
+
+  // Maintenance runs on the new definition against the renamed space.
+  const Tuple row{Value(1), Value(10)};
+  ASSERT_TRUE(
+      eve.NotifyDataUpdate(DataUpdate{UpdateKind::kInsert, relation, row})
+          .ok())
+      << view_text;
+  ExpectExtentMatchesRecompute(eve, "V", view_text + " after an insert");
+  ASSERT_TRUE(
+      eve.NotifyDataUpdate(DataUpdate{UpdateKind::kDelete, relation, row})
+          .ok())
+      << view_text;
+  ExpectExtentMatchesRecompute(eve, "V", view_text + " after a delete");
+}
+
+const char* const kCarryOverViews[] = {
+    "CREATE VIEW V AS SELECT R.K, R.A FROM R",
+    "CREATE VIEW V AS SELECT X.K, X.A FROM IS1.R X",
+    "CREATE VIEW V AS SELECT R.K, R.A, S.B FROM R, S WHERE R.K = S.K",
+    "CREATE VIEW V AS SELECT X.K, X.A, S.B FROM R X, S WHERE X.K = S.K",
+};
+
+TEST(EveSystemCarryOver, RenameAttributeKeepsExtent) {
+  for (const char* view : kCarryOverViews) {
+    // A plain attribute, and the join key that WHERE references.
+    ExpectRenameKeepsExtent(
+        view, SchemaChange(RenameAttribute{RelationId{"IS1", "R"}, "A", "A2"}),
+        RelationId{"IS1", "R"});
+    ExpectRenameKeepsExtent(
+        view, SchemaChange(RenameAttribute{RelationId{"IS1", "R"}, "K", "K2"}),
+        RelationId{"IS1", "R"});
+  }
+}
+
+TEST(EveSystemCarryOver, RenameRelationKeepsExtent) {
+  for (const char* view : kCarryOverViews) {
+    ExpectRenameKeepsExtent(
+        view, SchemaChange(RenameRelation{RelationId{"IS1", "R"}, "R2"}),
+        RelationId{"IS1", "R2"});
+  }
+}
+
+TEST(EveSystemCarryOver, OtherAdoptionsAndUnmaterializedViewsRecompute) {
+  EveSystem eve;
+  RegisterCarryOverSpace(&eve);
+  ASSERT_TRUE(eve.DefineView("CREATE VIEW V AS "
+                             "SELECT R.K, R.A, S.B (AR=true) "
+                             "FROM R, S (RR=true) "
+                             "WHERE (R.K = S.K) (CR=true)")
+                  .ok());
+  // W is registered without an extent.
+  eve.options().materialize = false;
+  ASSERT_TRUE(eve.DefineView("CREATE VIEW W AS SELECT R.K, R.A FROM R").ok());
+  eve.options().materialize = true;
+  ASSERT_FALSE(eve.GetViewEntry("W").value()->materialized);
+
+  // A rename in the stream: V keeps its extent, W gets its first one.
+  const uint64_t v_identity = eve.GetViewEntry("V").value()->extent.identity();
+  ASSERT_TRUE(eve.NotifySchemaChange(SchemaChange(RenameAttribute{
+                                         RelationId{"IS1", "R"}, "A", "A2"}))
+                  .ok());
+  EXPECT_EQ(eve.GetViewEntry("V").value()->extent.identity(), v_identity);
+  ExpectExtentMatchesRecompute(eve, "V", "V after the rename");
+  ExpectExtentMatchesRecompute(eve, "W", "W after the rename");
+
+  // Deleting S adopts a substitution by T, which changes the extent.
+  const auto report = eve.NotifySchemaChange(
+      SchemaChange(DeleteRelation{RelationId{"IS2", "S"}}));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->views.size(), 1u);
+  EXPECT_EQ(report->views[0].resulting_state, ViewState::kAlive);
+  EXPECT_NE(eve.GetViewEntry("V").value()->extent.identity(), v_identity);
+  const ViewDefinition def = eve.GetViewDefinition("V").value();
+  ASSERT_EQ(def.from_items.size(), 2u);
+  EXPECT_EQ(def.from_items[1].relation, "T");
+  ExpectExtentMatchesRecompute(eve, "V", "V after deleting S");
 }
 
 }  // namespace

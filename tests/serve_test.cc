@@ -34,6 +34,7 @@
 #include "space/information_space.h"
 #include "space/schema_change.h"
 #include "storage/column_segment.h"
+#include "storage/hash_index.h"
 #include "vkb/view_knowledge_base.h"
 
 namespace eve {
@@ -226,6 +227,29 @@ TEST_F(ServeTest, IncrementalCaptureFollowsNameShapeChanges) {
   EXPECT_EQ(snap->Resolve("", "U2").value()->cardinality(), 2);
   EXPECT_EQ(snap->Resolve("", "S").value(), s_before);
   EXPECT_EQ(start->Resolve("", "U").value()->cardinality(), 2);
+
+  // Rename U2.Z -> Z2.  A rename changes no value, so the live relation
+  // keeps its cached index and tuple-hash column (the same shared objects)
+  // while its version bumps.  A reader pinned before the rename still sees
+  // Z; the new epoch sees Z2.
+  const Relation* u2 = system->space().Resolve("IS2", "U2").value();
+  const std::shared_ptr<const HashIndex> index = u2->IndexShared(0);
+  const auto hashes = u2->TupleHashes();
+  const uint64_t version = u2->version();
+  const auto pinned = system->snapshots().Current();
+  notify(SchemaChange(RenameAttribute{RelationId{"IS2", "U2"}, "Z", "Z2"}));
+  u2 = system->space().Resolve("IS2", "U2").value();
+  EXPECT_GT(u2->version(), version);
+  EXPECT_EQ(u2->IndexShared(0), index);
+  EXPECT_EQ(u2->TupleHashes(), hashes);
+  const Schema& pinned_schema = pinned->Resolve("", "U2").value()->schema();
+  EXPECT_TRUE(pinned_schema.Contains("Z"));
+  EXPECT_FALSE(pinned_schema.Contains("Z2"));
+  snap = system->snapshots().Current();
+  const Schema& new_schema = snap->Resolve("", "U2").value()->schema();
+  EXPECT_TRUE(new_schema.Contains("Z2"));
+  EXPECT_FALSE(new_schema.Contains("Z"));
+  EXPECT_EQ(snap->Resolve("", "U2").value()->cardinality(), 2);
 
   // Drop W, then re-add it with other data: the new epoch serves the new
   // relation, never the dropped one's frozen copy.
