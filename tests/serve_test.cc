@@ -241,6 +241,7 @@ TEST_F(ServeTest, IncrementalCaptureFollowsNameShapeChanges) {
   u2 = system->space().Resolve("IS2", "U2").value();
   EXPECT_GT(u2->version(), version);
   EXPECT_EQ(u2->IndexShared(0), index);
+  EXPECT_EQ(&u2->Index(0), index.get());
   EXPECT_EQ(u2->TupleHashes(), hashes);
   const Schema& pinned_schema = pinned->Resolve("", "U2").value()->schema();
   EXPECT_TRUE(pinned_schema.Contains("Z"));
